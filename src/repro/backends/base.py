@@ -26,7 +26,6 @@ numbers stay interpretable across machines.
 from __future__ import annotations
 
 import abc
-import hashlib
 import os
 import pickle
 from dataclasses import dataclass, field
@@ -84,8 +83,9 @@ class CampaignSpec:
     The compiled schedule and the replay tape hold closures and cannot
     cross a pickle boundary, but everything they are compiled *from*
     can.  Spawn-style workers rebuild the campaign from this spec and
-    compile once per process (the worker keeps an identity-keyed cache,
-    so a persistent pool re-seeds it a single time per campaign shape).
+    compile once per process; persistent-pool workers look the compiled
+    acquisition up in the engine's content-keyed cache, so an unpickled
+    program equal to one compiled before is a hit, not a recompile.
 
     ``pinned_full_scale`` carries the parent's resolved ADC full-scale
     so every worker quantizes against the same LSB the serial path uses.
@@ -131,26 +131,6 @@ class CampaignSpec:
         )
         campaign.pinned_full_scale = self.pinned_full_scale
         return campaign
-
-    def cache_key(self) -> str:
-        """A digest identifying the campaign shape a worker may cache.
-
-        Deliberately excludes ``pinned_full_scale`` and ``seed`` — both
-        vary per campaign without invalidating the compiled schedule a
-        cached worker campaign holds (acquire() re-checks the input
-        signature and path itself).
-        """
-        payload = (
-            self.program,
-            self.config,
-            self.profile,
-            self.scope,
-            self.entry,
-            self.window_cycles,
-            self.keep_power,
-            self.use_tape,
-        )
-        return hashlib.sha256(pickle.dumps(payload)).hexdigest()
 
 
 @dataclass

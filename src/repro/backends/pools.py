@@ -17,9 +17,9 @@ Three ways to put more cores behind a campaign, all byte-identical to
 * :class:`PoolBackend` — a **persistent** pool (fork- or spawn-started)
   that keeps workers alive across ``map_chunks``/``map_items`` calls.
   Tasks are fully declarative (each carries its spec and input slice);
-  each worker keeps an identity-keyed campaign cache, so a sweep or a
-  ``Session.run_all`` re-seeds the compiled-schedule cache once per
-  campaign shape and then pays zero pool-setup or recompile cost per
+  workers look compiled acquisitions up in the engine's content-keyed
+  cache, so a sweep or a ``Session.run_all`` compiles once per campaign
+  shape per worker and then pays zero pool-setup or recompile cost per
   point.  A worker that raises reports the failure (with the original
   traceback chained as ``__cause__``) without poisoning the pool.
 
@@ -58,7 +58,7 @@ from repro.backends.resilience import (
     ResilienceContext,
     WatchdogTimeout,
 )
-from repro.power.acquisition import TraceCampaign, TraceSet
+from repro.power.acquisition import BatchInputs, TraceCampaign
 
 
 def fork_available() -> bool:
@@ -129,29 +129,21 @@ def _spawn_chunk(task: ChunkTask):  # pragma: no cover - exercised via Pool
 
 # -- persistent-pool workers (fully declarative tasks) ------------------
 
-#: spec cache_key -> rebuilt TraceCampaign, kept warm across calls
-_POOL_CAMPAIGNS: dict[str, TraceCampaign] = {}
+def _pool_campaign(spec: CampaignSpec, inputs: BatchInputs) -> TraceCampaign:  # pragma: no cover
+    # Rebuilding the campaign is cheap; its compiled acquisition comes
+    # from the engine's content-keyed cache, which hits for an unpickled
+    # program equal to one this worker (or, fork-started, its parent)
+    # has compiled before.
+    from repro.campaigns.engine import compile_cached
 
-
-def _pool_init() -> None:  # pragma: no cover - exercised via Pool
-    _POOL_CAMPAIGNS.clear()
-
-
-def _pool_campaign(spec: CampaignSpec) -> TraceCampaign:  # pragma: no cover
-    key = spec.cache_key()
-    campaign = _POOL_CAMPAIGNS.get(key)
-    if campaign is None:
-        campaign = spec.build()
-        _POOL_CAMPAIGNS[key] = campaign
-    # Per-campaign state the cached shape does not capture.
-    campaign.seed = spec.seed
-    campaign.pinned_full_scale = spec.pinned_full_scale
+    campaign = spec.build()
+    compile_cached(campaign, inputs)
     return campaign
 
 
 def _pool_chunk(payload):  # pragma: no cover - exercised via Pool
     spec, chunk_inputs, transform, factory, task, parent_path, codec = payload
-    campaign = _pool_campaign(spec)
+    campaign = _pool_campaign(spec, chunk_inputs)
     if factory is not None:
         transform = factory(task.index)
     trace_set = campaign.acquire(
@@ -432,7 +424,7 @@ class PoolBackend(ExecutionBackend):
     def start(self) -> "PoolBackend":
         if self._pool is None:
             self._pool = multiprocessing.get_context(self.start_method).Pool(
-                processes=self.jobs, initializer=_pool_init
+                processes=self.jobs
             )
         return self
 
@@ -457,7 +449,7 @@ class PoolBackend(ExecutionBackend):
         """Kill and rebuild the worker pool after a watchdog timeout.
 
         The backend object itself stays healthy — callers keep using it
-        — but the workers (and their warm campaign caches) are replaced
+        — but the workers (and their warm compile caches) are replaced
         wholesale, since a hung or SIGKILLed worker cannot be told apart
         from the outside and must not linger.
         """

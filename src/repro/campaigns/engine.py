@@ -2,11 +2,11 @@
 
 :class:`StreamingCampaign` is the one acquisition path every experiment
 driver runs through.  It compiles a program's pipeline/leakage schedule
-once (consulting a process-wide cache shared across campaigns on the
-same program), then yields traces in fixed-size chunks: each chunk is a
-full :class:`~repro.power.acquisition.TraceSet` over a slice of the
-inputs, produced by the vectorized executor and the oscilloscope chain
-with a chunk-indexed noise seed.
+once (through :func:`compile_cached`, a process-wide cache shared by
+every campaign over an equal program), then yields traces in fixed-size
+chunks: each chunk is a full :class:`~repro.power.acquisition.TraceSet`
+over a slice of the inputs, produced by the vectorized executor and the
+oscilloscope chain with a chunk-indexed noise seed.
 
 Properties the rest of the stack builds on:
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 import warnings
-import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -68,11 +68,18 @@ from repro.uarch.config import PipelineConfig
 #: but still unpacks as ``(path, schedule, leakage)``.
 CompiledSchedule = CompiledAcquisition
 
-#: Process-wide compiled-schedule cache: id(program) -> {key -> compiled}.
-#: ``Program`` is an eq-comparing dataclass (unhashable), so entries are
-#: keyed by identity and evicted by a weakref finalizer when the program
-#: is garbage-collected.
-_SCHEDULE_CACHE: dict[int, dict] = {}
+#: Entry bound of the process-wide compile cache.  A figure3 entry
+#: (schedule, leakage schedule with its packed plans, replay tape) is
+#: about 3 MB, so a full cache stays near 100 MB.
+SCHEDULE_CACHE_CAPACITY = 32
+
+#: Process-wide compile cache: content key -> compiled acquisition, in
+#: least-recently-used order.  Keys carry the program's content digest,
+#: never its identity, so every run over an equal program — a fresh
+#: ``Program`` per Session run, sweep, corpus cell or service job, or
+#: one unpickled in a pool worker — shares one compilation.
+_SCHEDULE_CACHE: OrderedDict[tuple, CompiledAcquisition] = OrderedDict()
+_CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
 def _fold_digest(fold) -> str:
@@ -80,23 +87,69 @@ def _fold_digest(fold) -> str:
     return hashlib.sha256(pickle.dumps(fold)).hexdigest()
 
 
-def _program_cache(program: Program) -> dict:
-    key = id(program)
-    per_program = _SCHEDULE_CACHE.get(key)
-    if per_program is None:
-        per_program = {}
-        _SCHEDULE_CACHE[key] = per_program
-        weakref.finalize(program, _SCHEDULE_CACHE.pop, key, None)
-    return per_program
+def compile_cached(campaign: TraceCampaign, inputs: BatchInputs) -> CompiledAcquisition:
+    """The campaign's compiled acquisition, through the shared LRU cache.
+
+    The key is the program's content digest plus everything else the
+    compilation reads: ``config.identity()`` (so renamed variants share),
+    the scope's ``samples_per_cycle``, the entry label, the acquisition
+    window, the input shape and whether a replay tape is compiled.
+    Programs with conditionally executed non-branch instructions bypass
+    the cache: their schedule depends on input values, not just shape.
+    On a hit the campaign's own cache is seeded, so its next acquire
+    skips the reference-executor pass (and still recompiles if the
+    batch takes other branch directions).
+
+    The cache, like the compiled objects it shares (packed plans reuse
+    scratch buffers), is for one thread per process: every caller in
+    the repository runs acquisition on its main thread and fans out
+    over processes, each of which gets its own copy.
+    """
+    if not campaign._schedule_input_independent():
+        return campaign.compile_with(inputs)
+    signature = inputs.signature()
+    key = (
+        campaign.program.content_digest(),
+        campaign.config.identity(),
+        campaign.scope_config.samples_per_cycle,
+        campaign.entry,
+        campaign.window_cycles,
+        signature,
+        campaign.use_tape,
+    )
+    compiled = _SCHEDULE_CACHE.get(key)
+    if compiled is None:
+        _CACHE_STATS["misses"] += 1
+        compiled = campaign.compile_with(inputs)
+        _SCHEDULE_CACHE[key] = compiled
+        while len(_SCHEDULE_CACHE) > SCHEDULE_CACHE_CAPACITY:
+            _SCHEDULE_CACHE.popitem(last=False)
+            _CACHE_STATS["evictions"] += 1
+    else:
+        _CACHE_STATS["hits"] += 1
+        _SCHEDULE_CACHE.move_to_end(key)
+        campaign._compiled = compiled
+        campaign._compiled_signature = signature
+    return compiled
 
 
 def schedule_cache_info() -> tuple[int, int]:
-    """(programs cached, total compiled schedules) — for tests/benchmarks."""
-    entries = sum(len(per_program) for per_program in _SCHEDULE_CACHE.values())
-    return len(_SCHEDULE_CACHE), entries
+    """(distinct programs cached, total compiled entries)."""
+    return len({key[0] for key in _SCHEDULE_CACHE}), len(_SCHEDULE_CACHE)
+
+
+def schedule_cache_stats() -> dict[str, int]:
+    """Cumulative ``hits``, ``misses`` and ``evictions`` of the cache.
+
+    Counters only grow, so callers measure a piece of work by the
+    difference of two snapshots; the miss delta is the number of
+    compilations that work performed.
+    """
+    return dict(_CACHE_STATS)
 
 
 def clear_schedule_cache() -> None:
+    """Drop every cached entry (the counters keep running)."""
     _SCHEDULE_CACHE.clear()
 
 
@@ -173,8 +226,6 @@ class StreamingCampaign:
             keep_power=keep_power,
         )
 
-    # -- compiled-schedule cache ---------------------------------------
-
     @property
     def config(self) -> PipelineConfig:
         return self._campaign.config
@@ -183,44 +234,9 @@ class StreamingCampaign:
     def scope_config(self) -> ScopeConfig:
         return self._campaign.scope_config
 
-    def _cache_key(self, inputs: BatchInputs) -> tuple:
-        campaign = self._campaign
-        # config.identity() excludes the display name, so renamed
-        # variants (sweep points, with_overrides copies) — and configs
-        # differing only in scope knobs the compilation never sees —
-        # share one compiled schedule.
-        return (
-            campaign.config.identity(),
-            campaign.scope_config.samples_per_cycle,
-            campaign.entry,
-            campaign.window_cycles,
-            inputs.signature(),
-        )
-
     def compiled(self, inputs: BatchInputs) -> CompiledSchedule:
-        """The (path, schedule, leakage) triple, compiled at most once.
-
-        Consults the process-wide cache keyed by (program, config,
-        scope, entry, window, input shape) so distinct campaigns over
-        the same workload share one compilation.
-        """
-        if not self._campaign._schedule_input_independent():
-            # Conditionally-executed non-branch instructions make the
-            # schedule depend on input values, not just shape: compile
-            # against exactly this batch and skip the shared cache.
-            return self._campaign.compile_with(inputs)
-        key = self._cache_key(inputs)
-        per_program = _program_cache(self.program)
-        compiled = per_program.get(key)
-        if compiled is None:
-            compiled = self._campaign.compile_with(inputs)
-            per_program[key] = compiled
-        else:
-            # Seed the inner campaign's own cache so acquire() skips the
-            # reference-executor pass entirely.
-            self._campaign._compiled = compiled
-            self._campaign._compiled_signature = inputs.signature()
-        return compiled
+        """The (path, schedule, leakage) triple, via :func:`compile_cached`."""
+        return compile_cached(self._campaign, inputs)
 
     # -- acquisition ----------------------------------------------------
 

@@ -9,6 +9,7 @@ address-generation leakage model all see realistic addresses.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from repro.isa.instruction import Instruction
@@ -38,6 +39,29 @@ class Program:
 
     def __post_init__(self) -> None:
         self._by_address = {instr.address: instr for instr in self.instructions}
+        self._digest: str | None = None
+
+    def content_digest(self) -> str:
+        """A SHA-256 over everything that decides how the program runs.
+
+        Covers ``text_base``, ``source``, the labels and every data
+        block's address and bytes; a program without ``source`` (built
+        directly rather than assembled) is covered through its rendered
+        instructions instead.  Computed on first call and kept: a
+        program is treated as immutable once it has been compiled, which
+        is what lets the campaign engine's compile cache key on content.
+        """
+        if self._digest is None:
+            h = hashlib.sha256()
+            h.update(f"{self.text_base}\0{self.source}\0".encode())
+            if not self.source:
+                h.update("\n".join(map(repr, self.instructions)).encode())
+            h.update(repr(sorted(self.labels.items())).encode())
+            for block in self.data_blocks:
+                h.update(b"\0%d:%d:" % (block.address, len(block.data)))
+                h.update(bytes(block.data))
+            self._digest = h.hexdigest()
+        return self._digest
 
     def __len__(self) -> int:
         return len(self.instructions)

@@ -86,6 +86,19 @@ class LeakageProfile:
             return self.overrides[component.name]
         return self.kind_weights.get(component.kind, ComponentWeights())
 
+    def identity(self) -> tuple:
+        """Every weight and the gain, excluding the display ``name``.
+
+        Two profiles with equal identity leak identically; packed
+        leakage plans key on this, so a fresh ``cortex_a7_profile()``
+        per run reuses the plan an earlier equal profile built.
+        """
+        return (
+            tuple(sorted(self.kind_weights.items(), key=lambda item: item[0].name)),
+            tuple(sorted(self.overrides.items())),
+            self.gain,
+        )
+
     # ------------------------------------------------------------------
     # Ablation helpers
     # ------------------------------------------------------------------

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from repro.backends import ExecutionBackend, resolve_backend
-from repro.campaigns.engine import StreamingCampaign, schedule_cache_info
+from repro.campaigns.engine import StreamingCampaign, schedule_cache_stats
 from repro.campaigns.reduction import ChunkFold
 from repro.crypto.aes_asm import LAYOUT, round1_only_program
 from repro.experiments.reporting import render_table
@@ -467,7 +467,7 @@ class SweepCampaign:
                 self._sweep_fingerprint(points), n_chunks=len(points)
             )
         pending = [i for i in range(len(points)) if i not in done]
-        _programs_before, entries_before = schedule_cache_info()
+        misses_before = schedule_cache_stats()["misses"]
         resolved, owned = resolve_backend(
             self.backend, jobs=self.jobs, n_tasks=max(1, len(pending))
         )
@@ -498,9 +498,8 @@ class SweepCampaign:
         if checkpointer is not None:
             checkpointer.finalize()
         results = [done_results[i] for i in range(len(points))]
-        _programs_after, entries_after = schedule_cache_info()
-        compiled = entries_after - entries_before
-        if compiled <= 0:
+        compiled = schedule_cache_stats()["misses"] - misses_before
+        if compiled == 0:
             # Either a warm cache or forked workers (whose caches the
             # parent cannot observe): report the structural dedup bound —
             # unique (config identity, scope cache component) pairs, the

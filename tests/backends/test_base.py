@@ -14,6 +14,7 @@ from repro.backends import (
     SerialBackend,
     numba_available,
 )
+from repro.campaigns.engine import compile_cached, schedule_cache_stats
 from repro.power.acquisition import TraceCampaign
 from repro.power.scope import ScopeConfig
 
@@ -47,17 +48,27 @@ class TestCampaignSpec:
         campaign.pinned_full_scale = 12.5
         assert CampaignSpec.from_campaign(campaign).build().pinned_full_scale == 12.5
 
-    def test_cache_key_ignores_per_campaign_state(self, program):
+    def test_rebuilt_spec_hits_the_compile_cache_across_seeds(self, program, make_inputs):
         # Seed and pinned full-scale vary per campaign without changing
-        # the compiled schedule a cached worker campaign holds.
+        # the compiled acquisition a rebuilt worker campaign looks up.
+        inputs = make_inputs(16)
+        compile_cached(make_campaign(program), inputs)
         base = CampaignSpec.from_campaign(make_campaign(program))
         reseeded = dataclasses.replace(base, seed=999, pinned_full_scale=3.0)
-        assert base.cache_key() == reseeded.cache_key()
+        misses = schedule_cache_stats()["misses"]
+        rebuilt = pickle.loads(pickle.dumps(reseeded)).build()
+        compile_cached(rebuilt, inputs)
+        assert schedule_cache_stats()["misses"] == misses
+        assert rebuilt.compile_count == 0
 
-    def test_cache_key_sees_shape_changes(self, program):
+    def test_rebuilt_spec_with_a_new_sample_rate_recompiles(self, program, make_inputs):
+        inputs = make_inputs(16)
+        compile_cached(make_campaign(program), inputs)
         base = CampaignSpec.from_campaign(make_campaign(program))
-        rescoped = dataclasses.replace(base, scope=ScopeConfig(noise_sigma=9.0))
-        assert base.cache_key() != rescoped.cache_key()
+        rescoped = dataclasses.replace(base, scope=ScopeConfig(samples_per_cycle=2))
+        rebuilt = pickle.loads(pickle.dumps(rescoped)).build()
+        compile_cached(rebuilt, inputs)
+        assert rebuilt.compile_count == 1
 
 
 class TestBackendContext:

@@ -12,7 +12,7 @@ from repro.isa.values import ValueTable
 from repro.isa.vtrace import compile_tape
 from repro.power.profile import ComponentWeights, LeakageProfile, cortex_a7_profile
 from repro.power.synth import LeakageSchedule
-from repro.uarch.components import ComponentKind
+from repro.uarch.components import MDR, ComponentKind
 from repro.uarch.config import PipelineConfig
 from repro.uarch.pipeline import Pipeline
 
@@ -224,8 +224,14 @@ class TestPackedEvaluation:
         tape = compile_tape(program, result.records)
         regs = {Reg.R1: np.array([1], dtype=np.uint32), Reg.R9: np.array([0x30000], dtype=np.uint32)}
         table = tape.run(1, regs=regs).table
-        profile = cortex_a7_profile()
-        leakage.evaluate(table, profile)
-        plan_first = leakage._packed_plans[(id(table.layout), id(profile))]
-        leakage.evaluate(table, profile)
-        assert leakage._packed_plans[(id(table.layout), id(profile))] is plan_first
+        first = leakage.evaluate(table, cortex_a7_profile())
+        plan = leakage._packed_plan(table.layout, cortex_a7_profile())
+        # A fresh equal-content profile (renamed, even) reuses the plan.
+        renamed = dataclasses.replace(cortex_a7_profile(), name="renamed")
+        assert leakage._packed_plan(table.layout, renamed) is plan
+        np.testing.assert_array_equal(leakage.evaluate(table, renamed), first)
+        assert len(leakage._packed_plans) == 1
+        # Different weights get a plan of their own.
+        louder = cortex_a7_profile().with_override(MDR, ComponentWeights(2.0, 5.0))
+        assert leakage._packed_plan(table.layout, louder) is not plan
+        assert len(leakage._packed_plans) == 2

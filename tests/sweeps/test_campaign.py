@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.campaigns import engine as engine_module
 from repro.campaigns.engine import (
     StreamingCampaign,
     clear_schedule_cache,
     schedule_cache_info,
+    schedule_cache_stats,
 )
 from repro.sca.cpa import cpa_attack
 from repro.sca.snr import partition_snr
@@ -110,6 +112,28 @@ class TestScheduleDedup:
         spec = SweepSpec.from_grid("noise", {"scope.noise_sigma": (6.0, 9.0, 15.0)})
         result = SweepCampaign(spec, n_traces=48, seed=0xDEA).run()
         assert result.compile_stats == (1, 3)
+
+    FOUR_PIPELINES = {"dual_issue": (True, False), "lsu_remanence": (True, False)}
+
+    def test_warm_rerun_compiles_nothing_and_reports_the_same(self):
+        clear_schedule_cache()
+        spec = SweepSpec.from_grid("warm", self.FOUR_PIPELINES)
+        cold = SweepCampaign(spec, n_traces=48, seed=0xDEB).run()
+        misses = schedule_cache_stats()["misses"]
+        warm = SweepCampaign(spec, n_traces=48, seed=0xDEB).run()
+        assert schedule_cache_stats()["misses"] == misses
+        assert cold.compile_stats == warm.compile_stats == (4, 4)
+
+    def test_sweep_that_evicts_counts_every_compile(self, monkeypatch):
+        # Entry deltas undercount once the LRU evicts; misses do not.
+        monkeypatch.setattr(engine_module, "SCHEDULE_CACHE_CAPACITY", 2)
+        clear_schedule_cache()
+        evictions = schedule_cache_stats()["evictions"]
+        spec = SweepSpec.from_grid("evict", self.FOUR_PIPELINES)
+        result = SweepCampaign(spec, n_traces=48, seed=0xDEC).run()
+        assert result.compile_stats == (4, 4)
+        assert schedule_cache_info() == (1, 2)
+        assert schedule_cache_stats()["evictions"] - evictions == 2
 
 
 class TestJobsDeterminism:
