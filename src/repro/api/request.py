@@ -1,12 +1,11 @@
 """Typed run requests, validated against scenario capabilities.
 
 A :class:`RunRequest` carries every execution knob a caller may set for
-one scenario run.  Unlike the legacy ``RunOptions`` (whose knobs were
-silently ignored by scenarios that did not implement them), a request
-is *validated* against the target scenario's declared
-:class:`~repro.api.capabilities.Capability` set before dispatch, and
-per-scenario defaulting (trace budgets, microbenchmark repetitions)
-happens in exactly one place — :meth:`RunRequest.resolve`.
+one scenario run.  A request is *validated* against the target
+scenario's declared :class:`~repro.api.capabilities.Capability` set
+before dispatch (an unsupported knob is an error, never silently
+ignored), and per-scenario defaulting (trace budgets, microbenchmark
+repetitions) happens in exactly one place — :meth:`RunRequest.resolve`.
 """
 
 from __future__ import annotations
@@ -144,21 +143,6 @@ class RunRequest:
 
     # -- construction ---------------------------------------------------
 
-    @classmethod
-    def from_options(cls, options: Any) -> "RunRequest":
-        """Convert a legacy ``RunOptions`` (duck-typed) to a request."""
-        jobs = getattr(options, "jobs", None)
-        grid = getattr(options, "grid", None)
-        return cls(
-            n_traces=getattr(options, "n_traces", None),
-            reps=getattr(options, "reps", None),
-            chunk_size=getattr(options, "chunk_size", None),
-            jobs=None if jobs in (None, 1) else jobs,
-            seed=getattr(options, "seed", None),
-            precision=getattr(options, "precision", None),
-            grid=tuple(grid) if grid else None,
-        )
-
     def merged_defaults(self, defaults: "RunRequest") -> "RunRequest":
         """This request, with unset knobs filled from ``defaults``."""
         updates = {
@@ -234,16 +218,6 @@ class RunRequest:
             raise ValueError(
                 "resume requires a checkpoint directory (set checkpoint=...)"
             )
-        return self.fill_defaults(scenario)
-
-    def fill_defaults(self, scenario: "Scenario") -> "RunRequest":
-        """The defaulting half of :meth:`resolve`, without validation.
-
-        The legacy ``RunOptions`` shim uses this directly: the old API
-        forwarded already-set knobs unconditionally, so validating them
-        against capabilities would change one-release-compatibility
-        behavior.
-        """
         updates: dict[str, Any] = {}
         if self.n_traces is None and scenario.default_traces is not None:
             updates["n_traces"] = scenario.default_traces

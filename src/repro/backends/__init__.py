@@ -8,13 +8,17 @@ one with a *policy* — a backend instance, or one of the names in
 ======== ==============================================================
 policy   meaning
 ======== ==============================================================
-auto     fork where available, else spawn, else serial (with a
-         :class:`BackendDegradationWarning`); serial when ``jobs <= 1``
+auto     fork where available, else spawn; serial (with a
+         :class:`BackendDegradationWarning`) when that candidate is
+         quarantined or cannot ship the context; serial when
+         ``jobs <= 1``
 serial   the in-process reference
-fork     a fork pool per call (copy-on-write state sharing)
-spawn    a spawn pool per call (pickle-safe declarative tasks)
-pool     a persistent worker pool, reused until ``close()``
-numba    serial with the JIT'd packed-tape evaluator (needs numba)
+fork     ``PoolBackend(jobs, "fork", persistent=False)``: a fork pool
+         per call (copy-on-write state sharing)
+spawn    ``PoolBackend(jobs, "spawn", persistent=False)``: a spawn pool
+         per call (pickle-safe declarative tasks)
+pool     ``PoolBackend(jobs)``: a persistent worker pool, reused until
+         ``close()``
 ======== ==============================================================
 
 Every backend is byte-identical to serial for float32 campaigns; see
@@ -23,10 +27,9 @@ Every backend is byte-identical to serial for float32 campaigns; see
 ``auto`` also honors the process-wide quarantine registry
 (:func:`quarantine_backend` / :func:`is_quarantined`): a backend the
 resilience layer declared :class:`BackendBroken` is skipped by every
-later resolution, and streams fall down the
-``pool -> fork -> spawn -> serial`` degradation ladder instead of
-failing — loudly, via :class:`BackendDegradationWarning`.  See
-``docs/resilience.md``.
+later resolution, and a stream whose backend breaks mid-run degrades to
+serial instead of failing — loudly, via
+:class:`BackendDegradationWarning`.  See ``docs/resilience.md``.
 """
 
 from __future__ import annotations
@@ -45,16 +48,8 @@ from repro.backends.base import (
     SerialBackend,
     run_chunk_task,
 )
-from repro.backends.numba_tape import NumbaTapeBackend, numba_available
-from repro.backends.pools import (
-    ForkBackend,
-    PoolBackend,
-    SpawnBackend,
-    cpu_count,
-    fork_available,
-)
+from repro.backends.pools import PoolBackend, cpu_count, fork_available
 from repro.backends.resilience import (
-    DEGRADATION_LADDER,
     BackendBroken,
     ChunkCorruption,
     FaultReport,
@@ -69,10 +64,9 @@ from repro.backends.resilience import (
 )
 
 #: every name ``resolve_backend`` accepts
-BACKEND_POLICIES = ("auto", "serial", "fork", "spawn", "pool", "numba")
+BACKEND_POLICIES = ("auto", "serial", "fork", "spawn", "pool")
 
-#: the subset a CLI user can ask for (pool/numba are API-level knobs:
-#: pool needs an owning scope, numba an optional dependency)
+#: the subset a CLI user can ask for (pool needs an owning scope)
 CLI_BACKEND_CHOICES = ("auto", "serial", "fork", "spawn")
 
 
@@ -80,14 +74,10 @@ def make_backend(policy: str, jobs: int = 1) -> ExecutionBackend:
     """Construct the named backend (no availability fallback)."""
     if policy == "serial":
         return SerialBackend()
-    if policy == "fork":
-        return ForkBackend(jobs)
-    if policy == "spawn":
-        return SpawnBackend(jobs)
+    if policy in ("fork", "spawn"):
+        return PoolBackend(jobs, start_method=policy, persistent=False)
     if policy == "pool":
         return PoolBackend(jobs)
-    if policy == "numba":
-        return NumbaTapeBackend()
     raise ValueError(f"unknown backend policy {policy!r}; expected one of {BACKEND_POLICIES}")
 
 
@@ -104,8 +94,8 @@ def resolve_backend(
     close it) or was handed a live instance to leave running.  Explicit
     names are strict — asking for ``fork`` on a spawn-only platform
     raises :class:`BackendUnavailable` — while ``auto`` (or ``None``)
-    degrades with a :class:`BackendDegradationWarning` when ``jobs > 1``
-    cannot actually be honored, instead of silently running serial.
+    tries one parallel candidate and otherwise runs serial with a
+    :class:`BackendDegradationWarning`, instead of silently.
     """
     if isinstance(policy, ExecutionBackend):
         return policy, False
@@ -115,62 +105,45 @@ def resolve_backend(
         raise TypeError(
             f"backend policy must be a string or ExecutionBackend, got {type(policy).__name__}"
         )
+    # Nothing to fan out: spinning up a pool for one worker or one chunk
+    # only adds fork/pickle overhead (BENCH_backends.json had fork at
+    # jobs=1 around half the serial throughput), and serial is
+    # byte-identical by contract.
+    nothing_to_fan_out = jobs <= 1 or (n_tasks is not None and n_tasks <= 1)
     if policy != "auto":
         if policy not in BACKEND_POLICIES:
             raise ValueError(
                 f"unknown backend policy {policy!r}; expected one of {BACKEND_POLICIES}"
             )
+        # Constructed first, so availability stays strict either way.
         backend = make_backend(policy, jobs)
-        if isinstance(backend, ForkBackend):
-            backend._check_available()
-        # Nothing to fan out: spinning up a pool for one worker or one
-        # chunk only adds fork/pickle overhead (BENCH_backends.json had
-        # fork at jobs=1 around half the serial throughput), and serial
-        # is byte-identical by contract.  Availability stays strict —
-        # the checks above ran — and 'numba' is excluded because it
-        # changes the evaluator, not just the dispatch.
-        if policy in ("fork", "spawn", "pool") and (
-            jobs <= 1 or (n_tasks is not None and n_tasks <= 1)
-        ):
-            return SerialBackend(), True
-        return backend, True
-
-    # auto: nothing to fan out -> serial, quietly.
-    if jobs <= 1 or (n_tasks is not None and n_tasks <= 1):
+        return (SerialBackend() if nothing_to_fan_out else backend), True
+    if nothing_to_fan_out:
         return SerialBackend(), True
-    if _pools.fork_available() and not is_quarantined("fork"):
-        return ForkBackend(jobs), True
-    if is_quarantined("fork"):
-        reason = f"the 'fork' backend is quarantined ({quarantine_info().get('fork')})"
-    else:
-        reason = "the 'fork' start method is unavailable on this platform"
-    if is_quarantined("spawn"):
-        reason = (
-            f"{reason}, and the 'spawn' backend is quarantined "
-            f"({quarantine_info().get('spawn')})"
+    candidate = "fork" if _pools.fork_available() else "spawn"
+    try:
+        if is_quarantined(candidate):
+            raise BackendUnavailable(
+                f"the '{candidate}' backend is quarantined "
+                f"({quarantine_info()[candidate]})"
+            )
+        backend = make_backend(candidate, jobs)
+        if context is not None:
+            backend.check_context(context)
+    except BackendUnavailable as error:
+        warnings.warn(
+            f"jobs={jobs} requested but no parallel backend is usable ({error}); "
+            "running serial",
+            BackendDegradationWarning,
+            stacklevel=2,
         )
-    elif context is not None:
-        try:
-            context.assert_picklable("spawn")
-        except BackendUnavailable as error:
-            reason = f"{reason}, and the spawn fallback cannot run: {error}"
-        else:
-            return SpawnBackend(jobs), True
-    else:
-        return SpawnBackend(jobs), True
-    warnings.warn(
-        f"jobs={jobs} requested but no parallel backend is usable ({reason}); "
-        "running serial",
-        BackendDegradationWarning,
-        stacklevel=2,
-    )
-    return SerialBackend(), True
+        return SerialBackend(), True
+    return backend, True
 
 
 __all__ = [
     "BACKEND_POLICIES",
     "CLI_BACKEND_CHOICES",
-    "DEGRADATION_LADDER",
     "BackendBroken",
     "BackendContext",
     "BackendDegradationWarning",
@@ -181,13 +154,10 @@ __all__ = [
     "ChunkTask",
     "ExecutionBackend",
     "FaultReport",
-    "ForkBackend",
-    "NumbaTapeBackend",
     "PoolBackend",
     "ResilienceContext",
     "RetryPolicy",
     "SerialBackend",
-    "SpawnBackend",
     "TransientChunkError",
     "WatchdogTimeout",
     "clear_quarantine",
@@ -195,7 +165,6 @@ __all__ = [
     "fork_available",
     "is_quarantined",
     "make_backend",
-    "numba_available",
     "quarantine_backend",
     "quarantine_info",
     "resolve_backend",

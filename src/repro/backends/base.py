@@ -18,9 +18,12 @@ points through it).
 Lifecycle: ``start()`` acquires worker resources (a no-op for the
 per-call pool backends), ``close()`` releases them, and backends are
 context managers.  ``describe()`` reports provenance metadata — backend
-name, start method, worker count, host core count, numba availability —
-that result envelopes and the benchmark harness embed so throughput
-numbers stay interpretable across machines.
+name, start method, worker count, host core count — that the benchmark
+harness embeds so throughput numbers stay interpretable across machines.
+
+The module imports nothing heavier than the standard library (the
+acquisition types are imported where used), so ``repro.backends`` and
+its policy names load cheaply for command-line parsers.
 """
 
 from __future__ import annotations
@@ -29,17 +32,19 @@ import abc
 import os
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.backends.resilience import ResilienceContext, run_attempts
-from repro.power.acquisition import (
-    BatchInputs,
-    CompiledAcquisition,
-    TraceCampaign,
-    TraceSet,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.power.acquisition import (
+        BatchInputs,
+        CompiledAcquisition,
+        TraceCampaign,
+        TraceSet,
+    )
 
 
 class BackendUnavailable(RuntimeError):
@@ -118,6 +123,8 @@ class CampaignSpec:
         )
 
     def build(self) -> TraceCampaign:
+        from repro.power.acquisition import TraceCampaign
+
         campaign = TraceCampaign(
             self.program,
             config=self.config,
@@ -259,7 +266,6 @@ class ExecutionBackend(abc.ABC):
             "workers": self.workers,
             "persistent": False,
             "cpu_count": os.cpu_count(),
-            "numba": _numba_available(),
         }
 
     @abc.abstractmethod
@@ -326,9 +332,3 @@ class SerialBackend(ExecutionBackend):
                     resilience, task, lambda attempt: produce(task), self.name
                 )
             yield task.index, task.lo, payload
-
-
-def _numba_available() -> bool:
-    from repro.backends.numba_tape import numba_available
-
-    return numba_available()

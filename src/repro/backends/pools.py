@@ -1,31 +1,30 @@
-"""Process-pool backends: fork, spawn, and a persistent worker pool.
+"""Process-pool execution: one backend, per-call or persistent.
 
-Three ways to put more cores behind a campaign, all byte-identical to
-:class:`~repro.backends.base.SerialBackend` by construction:
+:class:`PoolBackend` puts more cores behind a campaign, byte-identical
+to :class:`~repro.backends.base.SerialBackend` by construction.  Two
+knobs give the four configurations the policies name:
 
-* :class:`ForkBackend` — a pool forked per :meth:`map_chunks` call.  The
-  live campaign (with its compiled schedule and replay tape) and the
-  full input batch are inherited copy-on-write at fork time, so nothing
-  campaign-sized crosses a pipe.  The fastest option where ``fork``
-  exists; unavailable on spawn-only platforms.
-* :class:`SpawnBackend` — a pool spawned per call.  Workers receive a
-  declarative :class:`~repro.backends.base.CampaignSpec` (pickle-safe by
-  contract) and recompile the schedule once per worker; chunk tasks are
-  pure data.  Slower to start, but works everywhere — this is what
-  ``jobs > 1`` degrades to where fork is unavailable, instead of the
-  historical silent serial fallback.
-* :class:`PoolBackend` — a **persistent** pool (fork- or spawn-started)
-  that keeps workers alive across ``map_chunks``/``map_items`` calls.
-  Tasks are fully declarative (each carries its spec and input slice);
-  workers look compiled acquisitions up in the engine's content-keyed
-  cache, so a sweep or a ``Session.run_all`` compiles once per campaign
-  shape per worker and then pays zero pool-setup or recompile cost per
-  point.  A worker that raises reports the failure (with the original
-  traceback chained as ``__cause__``) without poisoning the pool.
+* ``persistent=False`` — a pool per :meth:`~PoolBackend.map_chunks` /
+  :meth:`~PoolBackend.map_items` call (the ``fork`` and ``spawn``
+  policies).  Campaign-wide state reaches each worker once, through the
+  pool initializer: under ``fork`` the live campaign (with its compiled
+  schedule and replay tape) and the full input batch are inherited
+  copy-on-write, so nothing campaign-sized crosses a pipe; under
+  ``spawn`` workers receive a pickle-safe
+  :class:`~repro.backends.base.CampaignSpec` and recompile once per
+  worker.  Chunk tasks are pure data either way.
+* ``persistent=True`` — one pool kept alive across calls until
+  ``close()`` (the ``pool`` policy).  Tasks are fully declarative (each
+  carries its spec and input slice); workers look compiled acquisitions
+  up in the engine's content-keyed cache, so a sweep or a
+  ``Session.run_all`` compiles once per campaign shape per worker and
+  then pays zero pool-setup or recompile cost per point.  A worker that
+  raises reports the failure (with the original traceback chained as
+  ``__cause__``) without poisoning the pool.
+* ``start_method`` — ``fork`` where available, else ``spawn``.
 
-Worker-side state lives in module globals installed by pool
-initializers; results stream back in task order via ``imap`` on the
-historical happy path.  When the engine attaches a
+Results stream back in task order via ``imap`` on the historical happy
+path.  When the engine attaches a
 :class:`~repro.backends.resilience.ResilienceContext`, dispatch switches
 to per-task ``apply_async`` with a watchdog ``get(timeout)``: a worker
 that hangs *or* dies (SIGKILL included — the pool silently repopulates
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.backends.base import (
     BackendContext,
@@ -51,14 +50,15 @@ from repro.backends.base import (
     ExecutionBackend,
     encode_chunk,
     run_chunk_task,
-    slim_payload,
 )
 from repro.backends.resilience import (
     BackendBroken,
     ResilienceContext,
     WatchdogTimeout,
 )
-from repro.power.acquisition import BatchInputs, TraceCampaign
+
+if TYPE_CHECKING:
+    from repro.power.acquisition import BatchInputs, TraceCampaign
 
 
 def fork_available() -> bool:
@@ -72,57 +72,37 @@ def _pool_size(jobs: int, n_tasks: int | None = None) -> int:
     return size
 
 
-#: Backwards-compatible alias: the slim-payload helper moved to base so
-#: the serial backend can share it with codec dispatch.
-_slim_payload = slim_payload
+# -- per-call workers (campaign-wide state installed once per worker) ----
+
+_WORKER_STATE: dict = {}
 
 
-# -- fork workers (state inherited copy-on-write at fork) ---------------
+def _init_worker(source, inputs, transform, factory, parent_path, codec=None) -> None:  # pragma: no cover
+    """Install one call's campaign-wide state in a fresh worker.
 
-_FORK_STATE: dict = {}
-
-
-def _fork_init(campaign, inputs, transform, factory, parent_path, codec=None) -> None:  # pragma: no cover
-    _FORK_STATE["campaign"] = campaign
-    _FORK_STATE["inputs"] = inputs
-    _FORK_STATE["transform"] = transform
-    _FORK_STATE["factory"] = factory
-    _FORK_STATE["parent_path"] = parent_path
-    _FORK_STATE["codec"] = codec
+    ``source`` is the live campaign under ``fork`` (inherited
+    copy-on-write, never pickled) or a :class:`CampaignSpec` to rebuild
+    the campaign from under every other start method.
+    """
+    _WORKER_STATE["campaign"] = source.build() if isinstance(source, CampaignSpec) else source
+    _WORKER_STATE["inputs"] = inputs
+    _WORKER_STATE["transform"] = transform
+    _WORKER_STATE["factory"] = factory
+    _WORKER_STATE["parent_path"] = parent_path
+    _WORKER_STATE["codec"] = codec
 
 
 def _fork_chunk(task: ChunkTask):  # pragma: no cover - exercised via Pool
-    campaign: TraceCampaign = _FORK_STATE["campaign"]
-    factory = _FORK_STATE["factory"]
-    transform = factory(task.index) if factory is not None else _FORK_STATE["transform"]
-    trace_set = run_chunk_task(campaign, _FORK_STATE["inputs"], task, transform)
+    """The per-call worker function, whatever the start method.
+
+    ``map_chunks`` looks it up by this module-global name at dispatch,
+    which is where ``perfbench/tracing.py`` wraps it.
+    """
+    factory = _WORKER_STATE["factory"]
+    transform = factory(task.index) if factory is not None else _WORKER_STATE["transform"]
+    trace_set = run_chunk_task(_WORKER_STATE["campaign"], _WORKER_STATE["inputs"], task, transform)
     payload = encode_chunk(
-        _FORK_STATE.get("codec"), task, trace_set, _FORK_STATE["parent_path"]
-    )
-    return task.index, task.lo, payload
-
-
-# -- spawn workers (state rebuilt from the pickled spec) ----------------
-
-_SPAWN_STATE: dict = {}
-
-
-def _spawn_init(spec, inputs, transform, factory, parent_path, codec=None) -> None:  # pragma: no cover
-    _SPAWN_STATE["campaign"] = spec.build()
-    _SPAWN_STATE["inputs"] = inputs
-    _SPAWN_STATE["transform"] = transform
-    _SPAWN_STATE["factory"] = factory
-    _SPAWN_STATE["parent_path"] = parent_path
-    _SPAWN_STATE["codec"] = codec
-
-
-def _spawn_chunk(task: ChunkTask):  # pragma: no cover - exercised via Pool
-    campaign: TraceCampaign = _SPAWN_STATE["campaign"]
-    factory = _SPAWN_STATE["factory"]
-    transform = factory(task.index) if factory is not None else _SPAWN_STATE["transform"]
-    trace_set = run_chunk_task(campaign, _SPAWN_STATE["inputs"], task, transform)
-    payload = encode_chunk(
-        _SPAWN_STATE.get("codec"), task, trace_set, _SPAWN_STATE["parent_path"]
+        _WORKER_STATE["codec"], task, trace_set, _WORKER_STATE["parent_path"]
     )
     return task.index, task.lo, payload
 
@@ -206,7 +186,7 @@ def _resilient_dispatch(
     the pool is replaced via ``replace`` and every not-yet-delivered
     task is re-submitted against the fresh one.  Exhausting the budget
     on timeouts raises :class:`BackendBroken` — the engine's cue to
-    quarantine this backend and fall down the degradation ladder.
+    quarantine this backend and degrade to serial.
     """
     policy = resilience.policy
     pool = acquire()
@@ -265,154 +245,39 @@ def _resilient_dispatch(
         release(pool)
 
 
-class _PoolBackendBase(ExecutionBackend):
-    """Shared per-call pool plumbing for the fork and spawn backends."""
-
-    def __init__(self, jobs: int = 2):
-        self.jobs = max(1, int(jobs))
-
-    @property
-    def workers(self) -> int:
-        return self.jobs
-
-    def _context(self):
-        return multiprocessing.get_context(self.start_method)
-
-    def _check_available(self) -> None:
-        if self.start_method not in multiprocessing.get_all_start_methods():
-            raise BackendUnavailable(
-                f"start method '{self.start_method}' is unavailable on this "
-                f"platform (has: {multiprocessing.get_all_start_methods()})"
-            )
-
-    def map_items(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
-        self._check_available()
-        payloads = [(fn, item) for item in items]
-        if len(payloads) <= 1:
-            return [fn(item) for _fn, item in payloads]
-        pool = self._context().Pool(processes=_pool_size(self.jobs, len(payloads)))
-        try:
-            return list(pool.imap(_apply, payloads))
-        finally:
-            _shutdown(pool)
-
-    def _initargs(self, context: BackendContext) -> tuple:
-        raise NotImplementedError
-
-    def _chunk_fn(self):
-        raise NotImplementedError
-
-    def _make_pool(self, context: BackendContext, n_tasks: int):
-        return self._context().Pool(
-            processes=_pool_size(self.jobs, n_tasks),
-            initializer=self._initializer,
-            initargs=self._initargs(context),
-        )
-
-    def map_chunks(
-        self, context: BackendContext, tasks: Sequence[ChunkTask]
-    ) -> Iterator[ChunkResult]:
-        self._check_available()
-        self._check_context(context)
-        chunk_fn = self._chunk_fn()
-        resilience = context.resilience
-        if resilience is None:
-            # Historical path: one pool, ordered imap.  terminate+join in
-            # all cases (Ctrl-C included) so no child outlives the call.
-            pool = self._make_pool(context, len(tasks))
-            try:
-                yield from pool.imap(chunk_fn, tasks)
-            finally:
-                _shutdown(pool)
-            return
-        yield from _resilient_dispatch(
-            tasks,
-            resilience,
-            self.name,
-            acquire=lambda: self._make_pool(context, len(tasks)),
-            replace=lambda old: (_shutdown(old), self._make_pool(context, len(tasks)))[1],
-            release=_shutdown,
-            submit=lambda pool, task: pool.apply_async(chunk_fn, (task,)),
-        )
-
-    def _check_context(self, context: BackendContext) -> None:
-        """Hook for pickle-safety checks; the fork backend needs none."""
-
-
-class ForkBackend(_PoolBackendBase):
-    """A fork pool per call; campaign state inherited copy-on-write."""
-
-    name = "fork"
-    start_method = "fork"
-    _initializer = staticmethod(_fork_init)
-
-    def _initargs(self, context: BackendContext) -> tuple:
-        return (
-            context.campaign,
-            context.inputs,
-            context.power_transform,
-            context.power_transform_factory,
-            context.compiled_path(),
-            context.codec,
-        )
-
-    def _chunk_fn(self):
-        return _fork_chunk
-
-
-class SpawnBackend(_PoolBackendBase):
-    """A spawn pool per call; campaign state rebuilt from a pickled spec."""
-
-    name = "spawn"
-    start_method = "spawn"
-    _initializer = staticmethod(_spawn_init)
-
-    def _check_context(self, context: BackendContext) -> None:
-        context.assert_picklable(self.name)
-
-    def _initargs(self, context: BackendContext) -> tuple:
-        return (
-            context.spec(),
-            context.inputs,
-            context.power_transform,
-            context.power_transform_factory,
-            context.compiled_path(),
-            context.codec,
-        )
-
-    def _chunk_fn(self):
-        return _spawn_chunk
-
-
 class PoolBackend(ExecutionBackend):
-    """A persistent worker pool reused across campaigns and sweeps.
+    """A process pool, built per call or kept alive across calls.
 
-    Unlike the per-call backends, ``start()`` builds the pool once and
-    every subsequent :meth:`map_chunks`/:meth:`map_items` call reuses
-    the warm workers: each worker keeps the campaigns it has rebuilt
-    (and their compiled schedules) in a cache keyed by the spec's
-    structural identity, so repeated campaigns over the same workload —
-    a sweep's grid points, a session's scenario batch — compile once per
-    worker and then stream pure data.
+    ``persistent=True`` (the ``pool`` policy) builds the pool on
+    ``start()`` and reuses the warm workers for every later call; each
+    worker keeps the campaigns it has compiled in the engine's cache,
+    so repeated campaigns over the same workload — a sweep's grid
+    points, a session's scenario batch — compile once per worker and
+    then stream pure data.  ``persistent=False`` (the ``fork`` and
+    ``spawn`` policies) builds a pool per call and tears it down before
+    returning.
 
     A task that raises inside a worker surfaces the original exception
-    (with the remote traceback chained) from the mapping call; the pool
-    itself stays healthy and subsequent calls keep working.
+    (with the remote traceback chained) from the mapping call; a
+    persistent pool itself stays healthy and later calls keep working.
     """
 
-    name = "pool"
-
-    def __init__(self, jobs: int = 2, start_method: str | None = None):
+    def __init__(
+        self, jobs: int = 2, start_method: str | None = None, persistent: bool = True
+    ):
         self.jobs = max(1, int(jobs))
         if start_method is None:
             start_method = "fork" if fork_available() else "spawn"
         if start_method not in multiprocessing.get_all_start_methods():
             raise BackendUnavailable(
-                f"start method '{start_method}' is unavailable on this platform"
+                f"start method '{start_method}' is unavailable on this platform "
+                f"(has: {multiprocessing.get_all_start_methods()})"
             )
         self.start_method = start_method
+        self.persistent = persistent
+        self.name = "pool" if persistent else start_method
         self._pool = None
-        #: total tasks dispatched over the pool's lifetime (provenance)
+        #: total tasks dispatched over the backend's lifetime (provenance)
         self.tasks_dispatched = 0
         #: watchdog-triggered pool replacements (provenance)
         self.pools_rebuilt = 0
@@ -422,90 +287,142 @@ class PoolBackend(ExecutionBackend):
         return self.jobs
 
     def start(self) -> "PoolBackend":
-        if self._pool is None:
-            self._pool = multiprocessing.get_context(self.start_method).Pool(
-                processes=self.jobs
-            )
+        if self.persistent and self._pool is None:
+            self._pool = self._new_pool(self.jobs)
         return self
 
     def close(self) -> None:
         if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
+            _shutdown(self._pool)
             self._pool = None
 
     def describe(self) -> dict:
         info = super().describe()
-        info["persistent"] = True
+        info["persistent"] = self.persistent
         info["tasks_dispatched"] = self.tasks_dispatched
         info["pools_rebuilt"] = self.pools_rebuilt
         return info
 
-    def _live_pool(self):
-        self.start()
-        return self._pool
+    def check_context(self, context: BackendContext) -> None:
+        """Raise :class:`BackendUnavailable` if ``context`` cannot reach the workers.
 
-    def _replace_pool(self):
-        """Kill and rebuild the worker pool after a watchdog timeout.
-
-        The backend object itself stays healthy — callers keep using it
-        — but the workers (and their warm compile caches) are replaced
-        wholesale, since a hung or SIGKILLed worker cannot be told apart
-        from the outside and must not linger.
+        Only a per-call fork pool inherits the context; every other
+        configuration ships it by pickle.
         """
-        self.pools_rebuilt += 1
-        self.close()
-        return self._live_pool()
+        if self.persistent or self.start_method != "fork":
+            context.assert_picklable(self.name)
+
+    def _new_pool(self, processes: int, context: BackendContext | None = None):
+        """A fresh pool; with ``context``, its workers hold that campaign."""
+        mp_context = multiprocessing.get_context(self.start_method)
+        if context is None:
+            return mp_context.Pool(processes=processes)
+        source = context.campaign if self.start_method == "fork" else context.spec()
+        return mp_context.Pool(
+            processes=processes,
+            initializer=_init_worker,
+            initargs=(
+                source,
+                context.inputs,
+                context.power_transform,
+                context.power_transform_factory,
+                context.compiled_path(),
+                context.codec,
+            ),
+        )
+
+    def _live_pool(self):
+        return self.start()._pool
+
+    def _lifecycle(self, n_tasks: int, context: BackendContext | None = None):
+        """``(acquire, replace, release)`` for the pool one call runs on.
+
+        A persistent backend lends its live pool and keeps it; a
+        watchdog replacement rebuilds it wholesale, since a hung or
+        SIGKILLed worker cannot be told apart from the outside and must
+        not linger.  A per-call backend builds a right-sized pool and
+        shuts it down when the call ends.
+        """
+        if self.persistent:
+
+            def replace_live(_old):
+                self.pools_rebuilt += 1
+                self.close()
+                return self._live_pool()
+
+            return self._live_pool, replace_live, lambda _pool: None
+
+        def acquire():
+            return self._new_pool(_pool_size(self.jobs, n_tasks), context)
+
+        def replace(old):
+            self.pools_rebuilt += 1
+            _shutdown(old)
+            return acquire()
+
+        return acquire, replace, _shutdown
+
+    def _imap(self, worker, payloads: list, context: BackendContext | None = None):
+        """Ordered ``imap`` over one call's pool; no child outlives Ctrl-C."""
+        acquire, _replace, release = self._lifecycle(len(payloads), context)
+        pool = acquire()
+        try:
+            yield from pool.imap(worker, payloads)
+        except KeyboardInterrupt:
+            self.close()
+            raise
+        finally:
+            release(pool)
 
     def map_chunks(
         self, context: BackendContext, tasks: Sequence[ChunkTask]
     ) -> Iterator[ChunkResult]:
-        context.assert_picklable(self.name)
-        spec = context.spec()
-        parent_path = context.compiled_path()
-        payloads = {
-            task.index: (
-                spec,
-                context.inputs.slice(task.lo, task.hi),
-                context.power_transform,
-                context.power_transform_factory,
-                task,
-                parent_path,
-                context.codec,
-            )
-            for task in tasks
-        }
-        self.tasks_dispatched += len(payloads)
+        self.check_context(context)
+        self.tasks_dispatched += len(tasks)
+        if self.persistent:
+            spec = context.spec()
+            parent_path = context.compiled_path()
+            payloads = {
+                task.index: (
+                    spec,
+                    context.inputs.slice(task.lo, task.hi),
+                    context.power_transform,
+                    context.power_transform_factory,
+                    task,
+                    parent_path,
+                    context.codec,
+                )
+                for task in tasks
+            }
+            worker, payload_of = _pool_chunk, lambda task: payloads[task.index]
+        else:
+            worker, payload_of = _fork_chunk, lambda task: task
         resilience = context.resilience
         if resilience is None:
-            try:
-                yield from self._live_pool().imap(_pool_chunk, list(payloads.values()))
-            except KeyboardInterrupt:
-                # Release the session-owned workers promptly: an
-                # interrupted campaign must not leave orphans behind.
-                self.close()
-                raise
+            yield from self._imap(worker, [payload_of(task) for task in tasks], context)
             return
+        acquire, replace, release = self._lifecycle(len(tasks), context)
         yield from _resilient_dispatch(
             tasks,
             resilience,
             self.name,
-            acquire=self._live_pool,
-            replace=lambda _old: self._replace_pool(),
-            release=lambda _pool: None,  # persistent: the owner closes it
-            submit=lambda pool, task: pool.apply_async(
-                _pool_chunk, (payloads[task.index],)
-            ),
+            acquire=acquire,
+            replace=replace,
+            release=release,
+            submit=lambda pool, task: pool.apply_async(worker, (payload_of(task),)),
         )
 
     def map_items(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
         payloads = [(fn, item) for item in items]
         self.tasks_dispatched += len(payloads)
-        try:
-            return list(self._live_pool().imap(_apply, payloads))
-        except KeyboardInterrupt:
-            self.close()
-            raise
+        if not self.persistent and len(payloads) <= 1:
+            return [fn(item) for _fn, item in payloads]
+        return list(self._imap(_apply, payloads))
+
+
+#: ``perfbench/tracing.py`` wraps ``map_chunks`` through this name, read
+#: from the class ``__dict__``; keep it while the tracer does.
+_PoolBackendBase = PoolBackend
 
 
 def cpu_count() -> int:

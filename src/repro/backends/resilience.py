@@ -23,8 +23,8 @@ backends and the streaming engine use to recover instead:
   shape/dtype/finiteness validation on rewrap.
 * :class:`BackendBroken` — a backend that exhausted its watchdog
   retries.  Under the ``auto`` policy the engine *quarantines* it
-  (process-wide, see :func:`quarantine_backend`) and falls down the
-  degradation ladder ``pool -> fork -> spawn -> serial``, loudly via
+  (process-wide, see :func:`quarantine_backend`) and degrades to
+  serial, loudly via
   :class:`~repro.backends.base.BackendDegradationWarning`.
 * :class:`FaultReport` — the structured record of everything the
   resilience layer did (attempts, retries, timeouts, degradations,
@@ -67,7 +67,7 @@ class BackendBroken(RuntimeError):
     """A backend exhausted its watchdog retries and is considered down.
 
     Raised *instead of* the final :class:`WatchdogTimeout` so the engine
-    can tell 'this backend is unhealthy' (ladder down under ``auto``)
+    can tell 'this backend is unhealthy' (degrade to serial under ``auto``)
     from 'this task is deterministically broken' (fail the campaign).
     """
 
@@ -170,7 +170,7 @@ class FaultReport:
     timeouts: int = 0
     #: chunk results rejected by rewrap validation
     corruptions: int = 0
-    #: degradation-ladder messages, in the order they fired
+    #: degradation messages, in the order they fired
     degradations: list[str] = field(default_factory=list)
     #: backends quarantined during the run
     quarantined: list[str] = field(default_factory=list)
@@ -331,10 +331,7 @@ def run_attempts(
             attempt += 1
 
 
-# -- backend quarantine + degradation ladder ----------------------------
-
-#: The fall-down order under ``auto`` when a backend is quarantined.
-DEGRADATION_LADDER = ("pool", "fork", "spawn", "serial")
+# -- backend quarantine ------------------------------------------------
 
 #: Process-wide quarantine registry: backend name -> reason.  A backend
 #: that exhausted its watchdog retries lands here and ``auto``
@@ -357,28 +354,3 @@ def quarantine_info() -> dict[str, str]:
 
 def clear_quarantine() -> None:
     _QUARANTINED.clear()
-
-
-def next_rung(current: str) -> str:
-    """The next usable backend below ``current`` on the ladder.
-
-    Skips quarantined and unavailable rungs; ``serial`` is the floor and
-    is never quarantined (there is nothing left to fall to).
-    """
-    from repro.backends.pools import fork_available
-
-    if current in DEGRADATION_LADDER:
-        candidates = DEGRADATION_LADDER[DEGRADATION_LADDER.index(current) + 1 :]
-    else:
-        candidates = DEGRADATION_LADDER[1:]
-    for name in candidates:
-        if name == "serial":
-            return name
-        if is_quarantined(name):
-            continue
-        if name == "fork" and not fork_available():
-            continue
-        if name == "pool":
-            continue  # pool needs an owning scope; never an auto rung
-        return name
-    return "serial"

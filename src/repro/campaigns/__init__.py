@@ -34,7 +34,6 @@ _EXPORTS = {
     "OnlineTTestAccumulator": "repro.campaigns.accumulators",
     "StreamingCampaign": "repro.campaigns.engine",
     "TraceChunk": "repro.campaigns.engine",
-    "RunOptions": "repro.campaigns.registry",
     "Scenario": "repro.campaigns.registry",
     "register": "repro.campaigns.registry",
     "registry": "repro.campaigns",

@@ -46,11 +46,11 @@ from repro.backends import (
     ExecutionBackend,
     ResilienceContext,
     RetryPolicy,
-    make_backend,
+    SerialBackend,
     quarantine_backend,
     resolve_backend,
 )
-from repro.backends.resilience import active_report, next_rung
+from repro.backends.resilience import active_report
 from repro.campaigns.checkpoint import Checkpointer, checkpoint_fingerprint, digest_inputs
 from repro.isa.program import Program
 from repro.power.acquisition import (
@@ -63,10 +63,6 @@ from repro.power.acquisition import (
 from repro.power.profile import LeakageProfile
 from repro.power.scope import Oscilloscope, ScopeConfig
 from repro.uarch.config import PipelineConfig
-
-#: Backwards-compatible alias: the compiled triple grew a ``tape`` field
-#: but still unpacks as ``(path, schedule, leakage)``.
-CompiledSchedule = CompiledAcquisition
 
 #: Entry bound of the process-wide compile cache.  A figure3 entry
 #: (schedule, leakage schedule with its packed plans, replay tape) is
@@ -234,7 +230,7 @@ class StreamingCampaign:
     def scope_config(self) -> ScopeConfig:
         return self._campaign.scope_config
 
-    def compiled(self, inputs: BatchInputs) -> CompiledSchedule:
+    def compiled(self, inputs: BatchInputs) -> CompiledAcquisition:
         """The (path, schedule, leakage) triple, via :func:`compile_cached`."""
         return compile_cached(self._campaign, inputs)
 
@@ -314,8 +310,7 @@ class StreamingCampaign:
           :class:`~repro.backends.WatchdogTimeout`, the pool is rebuilt
           and the chunk re-dispatched.  A backend that exhausts its
           budget on timeouts is quarantined; under ``auto`` the stream
-          then falls down the ``pool -> fork -> spawn -> serial``
-          degradation ladder instead of failing.
+          then degrades to serial instead of failing.
         * ``checkpoint`` — a
           :class:`~repro.campaigns.checkpoint.Checkpointer`; completed
           chunk ranges (plus the driver's accumulator state) persist
@@ -590,11 +585,10 @@ class StreamingCampaign:
         checkpoint record is written) only once the consumer resumes
         this generator, i.e. after the driver finished folding it.
         Under an ``auto`` policy a :class:`BackendBroken` backend is
-        quarantined and the undelivered chunks re-dispatched down the
-        degradation ladder.
+        quarantined and the undelivered chunks re-dispatched serially.
         """
         resilience = context.resilience
-        ladder_eligible = policy is None or policy == "auto"
+        degradable = policy is None or policy == "auto"
         resolved, owned = resolve_backend(
             policy, jobs=jobs, n_tasks=len(run_tasks), context=context
         )
@@ -613,15 +607,14 @@ class StreamingCampaign:
                 except BackendBroken as error:
                     # The backend exhausted its watchdog retries.  Under
                     # an explicit policy that is the caller's problem;
-                    # under auto, quarantine it and fall down the ladder
+                    # under auto, quarantine it and degrade to serial
                     # (loudly), re-dispatching the undelivered chunks.
-                    if not ladder_eligible:
+                    if not degradable:
                         raise
-                    rung = next_rung(error.backend)
                     quarantine_backend(error.backend, str(error))
                     message = (
                         f"backend '{error.backend}' quarantined after repeated "
-                        f"failures ({error}); degrading to '{rung}'"
+                        f"failures ({error}); degrading to 'serial'"
                     )
                     warnings.warn(message, BackendDegradationWarning, stacklevel=2)
                     if resilience is not None:
@@ -629,9 +622,8 @@ class StreamingCampaign:
                         resilience.report.record_degradation(message)
                     if owned:
                         resolved.close()
-                    resolved = make_backend(rung, jobs)
+                    resolved = SerialBackend()
                     owned = True
-                    resolved.start()
                     pending = [task for task in run_tasks if task.index not in delivered]
             if checkpoint is not None:
                 checkpoint.finalize()

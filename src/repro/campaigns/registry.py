@@ -33,59 +33,14 @@ The runner receives a *resolved* :class:`~repro.api.request.RunRequest`
 declared capability set) and returns any object implementing the
 :class:`~repro.api.envelope.ResultEnvelope` protocol — ``render()``,
 ``to_json()``, ``artifacts()`` and a ``matches_paper`` property.
-
-Legacy surface: the pre-capability ``RunOptions`` dataclass and the
-``supports_chunking``/``supports_jobs``/``supports_precision``/
-``supports_grid`` constructor booleans keep working for one release
-(they emit :class:`DeprecationWarning` and map onto the capability
-set); new code uses ``repro.api``.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from repro.api.capabilities import Capability
-
-#: Legacy constructor boolean -> the capability it declared.
-_LEGACY_SUPPORTS = {
-    "supports_chunking": Capability.CHUNKING,
-    "supports_jobs": Capability.JOBS,
-    "supports_precision": Capability.PRECISION,
-    "supports_grid": Capability.GRID,
-}
-
-
-@dataclass(frozen=True)
-class _RunOptions:
-    """Deprecated execution knobs (use :class:`repro.api.RunRequest`)."""
-
-    n_traces: int | None = None
-    reps: int = 200
-    chunk_size: int | None = None
-    jobs: int = 1
-    seed: int | None = None
-    precision: str | None = None
-    grid: tuple[str, ...] | None = None
-
-
-# Keep the public (deprecated) name on reprs and pickles.
-_RunOptions.__name__ = "RunOptions"
-_RunOptions.__qualname__ = "RunOptions"
-
-
-def __getattr__(name: str) -> Any:
-    if name == "RunOptions":
-        warnings.warn(
-            "RunOptions is deprecated; build a repro.api.RunRequest and run it "
-            "through repro.api.Session (or Scenario.run) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _RunOptions
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -105,53 +60,10 @@ class Scenario:
     #: setting anything else raises CapabilityError before dispatch
     capabilities: frozenset[Capability] = field(default_factory=frozenset)
     tags: tuple[str, ...] = ()
-    # Deprecated boolean declarations, mapped into `capabilities`.
-    supports_chunking: InitVar[bool | None] = None
-    supports_jobs: InitVar[bool | None] = None
-    supports_precision: InitVar[bool | None] = None
-    supports_grid: InitVar[bool | None] = None
 
-    def __post_init__(
-        self,
-        supports_chunking: bool | None,
-        supports_jobs: bool | None,
-        supports_precision: bool | None,
-        supports_grid: bool | None,
-    ) -> None:
-        legacy = {
-            "supports_chunking": supports_chunking,
-            "supports_jobs": supports_jobs,
-            "supports_precision": supports_precision,
-            "supports_grid": supports_grid,
-        }
-        declared = {name for name, value in legacy.items() if value is not None}
+    def __post_init__(self) -> None:
         if not isinstance(self.capabilities, frozenset):
             object.__setattr__(self, "capabilities", frozenset(self.capabilities))
-        if declared:
-            warnings.warn(
-                f"Scenario({self.name!r}): the supports_* booleans are deprecated; "
-                "declare capabilities=frozenset({Capability...}) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            merged = set(self.capabilities)
-            merged.update(
-                _LEGACY_SUPPORTS[name] for name in declared if legacy[name]
-            )
-            if self.default_traces is not None:
-                merged.update({Capability.TRACES, Capability.SEED})
-            object.__setattr__(self, "capabilities", frozenset(merged))
-        if not self.capabilities and self.default_traces is not None:
-            # Legacy declarations predate the TRACES/SEED capabilities: a
-            # pre-capability registration with a trace budget (with or
-            # without any supports_* boolean) always accepted both.  A
-            # new-style declaration lists its capabilities explicitly, so
-            # an empty set + a trace budget can only be the old API.
-            object.__setattr__(
-                self,
-                "capabilities",
-                frozenset({Capability.TRACES, Capability.SEED}),
-            )
 
     def has(self, capability: Capability) -> bool:
         return capability in self.capabilities
@@ -159,35 +71,18 @@ class Scenario:
     def run(self, request: Any = None) -> Any:
         """Resolve ``request`` against this scenario and execute it.
 
-        ``request`` may be a :class:`repro.api.RunRequest` (validated
+        ``request`` is a :class:`repro.api.RunRequest` (validated
         strictly: unsupported knobs raise
-        :class:`~repro.api.capabilities.CapabilityError`), ``None``
-        (scenario defaults), or a legacy ``RunOptions`` (lenient, like
-        the old CLI: unsupported knobs are dropped).  Defaulting lives
-        in :meth:`RunRequest.resolve` — not here — so per-scenario
-        defaults (``default_traces``, ``default_reps``) exist in exactly
-        one place.
+        :class:`~repro.api.capabilities.CapabilityError`) or ``None``
+        (scenario defaults).  Defaulting lives in
+        :meth:`RunRequest.resolve` — not here — so per-scenario defaults
+        (``default_traces``, ``default_reps``) exist in exactly one
+        place.
         """
-        from dataclasses import replace
-
         from repro.api.request import RunRequest
 
         if request is None:
             request = RunRequest()
-        elif not isinstance(request, RunRequest):
-            # Legacy RunOptions (or any duck-typed equivalent): keep the
-            # historical semantics — n_traces/reps/seed were always
-            # forwarded to the runner, only the opt-in knobs (chunking,
-            # jobs, precision, grid) were capability-gated (ignored when
-            # unsupported, as the old CLI did).
-            legacy = RunRequest.from_options(request)
-            gated, _dropped = replace(
-                legacy, n_traces=None, reps=None, seed=None
-            ).narrowed_to(self)
-            forwarded = replace(
-                gated, n_traces=legacy.n_traces, reps=legacy.reps, seed=legacy.seed
-            )
-            return self.runner(forwarded.fill_defaults(self))
         return self.runner(request.resolve(self))
 
 

@@ -35,10 +35,12 @@ Flags:
 ``--jobs N``
     Fan chunks out over ``N`` worker processes.
 ``--backend serial|fork|spawn|auto``
-    Execution backend for the fan-out (see ``docs/backends.md``).  The
-    default ``auto`` forks where available and falls back to spawn;
-    every backend is byte-identical to ``serial`` for float32
-    campaigns.
+    Execution backend for the fan-out (see ``docs/backends.md``).
+    ``fork`` and ``spawn`` build a worker pool per call.  The default
+    ``auto`` forks where available (spawn otherwise) and runs serial,
+    with a warning, when that one backend is quarantined or cannot
+    ship the run's state; every backend is byte-identical to
+    ``serial`` for float32 campaigns.
 ``--seed N``
     Campaign seed override, for independent re-runs of a scenario.
 ``--precision float64-exact|float32``

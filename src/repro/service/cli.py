@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.backends import BACKEND_POLICIES
+
 #: Default spool directory (gitignored; holds queue, results, cache).
 DEFAULT_SPOOL = ".repro-spool"
 
@@ -52,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--backend", choices=("auto", "serial", "fork", "spawn", "pool"), default=None,
+        "--backend", choices=BACKEND_POLICIES, default=None,
         help="execution-backend default for worker sessions",
     )
     parser.add_argument(

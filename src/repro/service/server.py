@@ -199,7 +199,11 @@ class ServiceServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        # str.isdigit alone would admit non-ASCII digits such as "²"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _BadRequest(400, f"malformed Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             raise _BadRequest(413, f"request body over {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""

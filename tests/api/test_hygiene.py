@@ -1,7 +1,7 @@
 """Repo hygiene gates run as part of tier-1, not only in CI."""
 
+import importlib
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -9,13 +9,41 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
 
-def test_no_legacy_api_references_in_src():
-    sys.path.insert(0, str(REPO_ROOT / "scripts"))
-    try:
-        from check_legacy_imports import violations
-    finally:
-        sys.path.pop(0)
-    assert violations(REPO_ROOT) == []
+#: names deleted with the deprecated shims, the numba backend and the
+#: degradation ladder: ``(module, attribute path)``
+REMOVED_NAMES = (
+    ("repro.backends", "ForkBackend"),
+    ("repro.backends", "SpawnBackend"),
+    ("repro.backends", "NumbaTapeBackend"),
+    ("repro.backends", "numba_available"),
+    ("repro.backends", "DEGRADATION_LADDER"),
+    ("repro.backends.resilience", "DEGRADATION_LADDER"),
+    ("repro.backends.resilience", "next_rung"),
+    ("repro.backends.pools", "ForkBackend"),
+    ("repro.backends.pools", "SpawnBackend"),
+    ("repro.backends.pools", "_slim_payload"),
+    ("repro.power.synth", "set_packed_evaluate_hook"),
+    ("repro.power.synth", "_PACKED_EVALUATE_HOOK"),
+    ("repro.campaigns", "RunOptions"),
+    ("repro.campaigns.registry", "RunOptions"),
+    ("repro.campaigns.registry", "_LEGACY_SUPPORTS"),
+    ("repro.campaigns.engine", "CompiledSchedule"),
+    ("repro.api.request", "RunRequest.from_options"),
+)
+
+
+@pytest.mark.parametrize(("module", "path"), REMOVED_NAMES)
+def test_removed_names_are_gone(module, path):
+    owner_path, _, name = path.rpartition(".")
+    owner = importlib.import_module(module)
+    for part in filter(None, owner_path.split(".")):
+        owner = getattr(owner, part)
+    assert not hasattr(owner, name), f"{module}.{path} should no longer exist"
+
+
+def test_numba_backend_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.backends.numba_tape")
 
 
 def tracked_files():
@@ -51,9 +79,8 @@ def test_no_service_spool_state_is_committed():
 def test_no_bytecode_caches_are_committed():
     """No `__pycache__`/.pyc anywhere tracked — including scripts/.
 
-    `scripts/` is importable by the tier-1 suite (sys.path insertion
-    above), so running the tests compiles bytecode right next to
-    tracked files; a careless `git add scripts` must not pick it up.
+    Running the tests or the scripts compiles bytecode right next to
+    tracked files; a careless `git add` must not pick it up.
     """
     offenders = [
         path

@@ -54,6 +54,7 @@ class TestValidation:
             {"seed": -1},
             {"precision": "float16"},
             {"backend": "threads"},
+            {"backend": "numba"},
             {"backend": object()},
         ),
     )
@@ -116,22 +117,7 @@ class TestResolve:
             RunRequest(grid=("a=1",)).resolve(scenario_with(Capability.TRACES))
 
 
-class TestLegacyConversion:
-    def test_from_options_maps_fields(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.campaigns.registry import RunOptions
-        options = RunOptions(n_traces=9, chunk_size=3, jobs=2, grid=("a=1",))
-        request = RunRequest.from_options(options)
-        assert request.n_traces == 9
-        assert request.chunk_size == 3
-        assert request.jobs == 2
-        assert request.grid == ("a=1",)
-
-    def test_from_options_default_jobs_is_unset(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.campaigns.registry import RunOptions
-        assert RunRequest.from_options(RunOptions()).jobs is None
-
+class TestMergedDefaults:
     def test_merged_defaults_fills_only_unset(self):
         request = RunRequest(n_traces=5)
         defaults = RunRequest(n_traces=100, chunk_size=10)

@@ -161,6 +161,10 @@ class TestStrictParse:
         with pytest.raises(RequestSchemaError, match="grid"):
             RunRequest.from_json({"schema": REQUEST_SCHEMA, "grid": [1, 2]})
 
+    def test_rejects_removed_numba_backend(self):
+        with pytest.raises(RequestSchemaError, match="numba"):
+            RunRequest.from_json({"schema": REQUEST_SCHEMA, "backend": "numba"})
+
     def test_rejects_non_string_backend(self):
         with pytest.raises(RequestSchemaError, match="backend"):
             RunRequest.from_json({"schema": REQUEST_SCHEMA, "backend": {"kind": "fork"}})

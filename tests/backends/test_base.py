@@ -12,7 +12,6 @@ from repro.backends import (
     CampaignSpec,
     ChunkTask,
     SerialBackend,
-    numba_available,
 )
 from repro.campaigns.engine import compile_cached, schedule_cache_stats
 from repro.power.acquisition import TraceCampaign
@@ -126,7 +125,6 @@ class TestSerialBackend:
         assert info["persistent"] is False
         assert info["workers"] == 1
         assert isinstance(info["cpu_count"], int)
-        assert info["numba"] == numba_available()
 
     def test_map_items_is_ordered(self):
         assert SerialBackend().map_items(lambda x: x * 2, [3, 1, 2]) == [6, 2, 4]

@@ -1,9 +1,9 @@
 """The acceptance matrix: every backend byte-identical to serial.
 
 float32 campaigns share one counter-based noise stream (chunk tasks
-carry the counter range via ``trace_offset``), so serial, fork, spawn
-and the persistent pool must agree bitwise — chunked and monolithic
-alike.  float64-exact keeps per-chunk derived seeds, so equality holds
+carry the counter range via ``trace_offset``), so serial and every
+``(start_method, persistent)`` configuration of the pool backend must
+agree bitwise — chunked and monolithic alike.  float64-exact keeps per-chunk derived seeds, so equality holds
 per chunking (parallel == serial for the same chunk size).
 """
 
@@ -18,34 +18,32 @@ needs_fork = pytest.mark.skipif(not fork_available(), reason="fork unavailable")
 CHUNKINGS = (None, 16)
 
 
-class TestFloat32Matrix:
-    @needs_fork
-    @pytest.mark.parametrize("chunk_size", CHUNKINGS)
-    def test_fork_matches_serial(self, capture, chunk_size):
-        np.testing.assert_array_equal(
-            capture("fork", chunk_size), capture("serial", chunk_size)
-        )
+#: every ``(start_method, persistent)`` configuration of the one pool class
+POOL_CONFIGS = (
+    pytest.param("fork", False, marks=needs_fork, id="fork-per-call"),
+    pytest.param("spawn", False, id="spawn-per-call"),
+    pytest.param("fork", True, marks=needs_fork, id="fork-persistent"),
+    pytest.param("spawn", True, id="spawn-persistent"),
+)
 
+
+class TestFloat32Matrix:
+    @pytest.mark.parametrize(("start_method", "persistent"), POOL_CONFIGS)
     @pytest.mark.parametrize("chunk_size", CHUNKINGS)
-    def test_spawn_matches_serial(self, capture, chunk_size):
-        np.testing.assert_array_equal(
-            capture("spawn", chunk_size), capture("serial", chunk_size)
-        )
+    def test_pool_matches_serial(self, capture, start_method, persistent, chunk_size):
+        backend = PoolBackend(jobs=2, start_method=start_method, persistent=persistent)
+        try:
+            np.testing.assert_array_equal(
+                capture(backend, chunk_size), capture("serial", chunk_size)
+            )
+        finally:
+            backend.close()
 
     def test_chunked_equals_monolithic(self, capture):
         # The float32 contract that makes the whole matrix collapse:
         # chunking itself is a no-op on the acquired bytes.
         np.testing.assert_array_equal(capture("serial", 16), capture("serial", None))
         np.testing.assert_array_equal(capture("serial", 7), capture("serial", None))
-
-    def test_persistent_pool_matches_serial(self, capture):
-        backend = PoolBackend(jobs=2)
-        try:
-            np.testing.assert_array_equal(
-                capture(backend, 16), capture("serial", 16)
-            )
-        finally:
-            backend.close()
 
 
 class TestFloat64PerChunking:

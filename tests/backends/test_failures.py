@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.backends import ForkBackend, PoolBackend, fork_available
+from repro.backends import PoolBackend, fork_available
 from repro.backends.faults import (
     FaultyTransform,
     FaultyTransformFactory,
@@ -120,7 +120,7 @@ class TestSpawnPicklability:
 class TestMapItemsFailure:
     @needs_fork
     def test_item_failure_surfaces_from_fork_pool(self):
-        backend = ForkBackend(jobs=2)
+        backend = PoolBackend(jobs=2, start_method="fork", persistent=False)
         with pytest.raises(InjectedWorkerError, match="boom"):
             backend.map_items(faulty_item, ["ok", "boom", "fine"])
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.backends.faults import InjectedWorkerError
 from repro.backends.resilience import (
-    DEGRADATION_LADDER,
     ChunkCorruption,
     FaultReport,
     ResilienceContext,
@@ -15,7 +14,6 @@ from repro.backends.resilience import (
     clear_quarantine,
     collecting_faults,
     is_quarantined,
-    next_rung,
     quarantine_backend,
     quarantine_info,
     run_attempts,
@@ -218,32 +216,30 @@ class TestQuarantine:
         clear_quarantine()
         assert not is_quarantined("fork")
 
-    def test_next_rung_walks_the_ladder(self):
-        from repro.backends import fork_available
-
-        expected = "fork" if fork_available() else "spawn"
-        assert next_rung("pool") == expected
-        assert next_rung("fork") == "spawn"
-        assert next_rung("spawn") == "serial"
-        assert next_rung("serial") == "serial"  # the floor
-
-    def test_next_rung_skips_quarantined_backends(self):
-        quarantine_backend("fork", "down")
-        quarantine_backend("spawn", "down")
-        assert next_rung("pool") == "serial"
-
-    def test_pool_is_never_an_auto_rung(self):
-        assert "pool" not in [next_rung(name) for name in DEGRADATION_LADDER]
-
-    def test_auto_resolution_skips_quarantined_fork(self):
-        from repro.backends import fork_available, resolve_backend
+    def test_auto_with_fork_quarantined_runs_serial_and_warns(self):
+        from repro.backends import (
+            BackendDegradationWarning,
+            SerialBackend,
+            fork_available,
+            resolve_backend,
+        )
 
         if not fork_available():
             pytest.skip("fork unavailable")
         quarantine_backend("fork", "watchdog exhausted")
-        backend, owned = resolve_backend("auto", jobs=2, n_tasks=4)
-        try:
-            assert backend.name != "fork"
-        finally:
-            if owned:
-                backend.close()
+        with pytest.warns(BackendDegradationWarning, match="'fork' backend is quarantined"):
+            backend, owned = resolve_backend("auto", jobs=2, n_tasks=4)
+        assert isinstance(backend, SerialBackend) and owned
+
+    def test_auto_with_fork_quarantined_notes_the_degradation(self):
+        from repro.api import Session
+        from repro.backends import fork_available
+
+        if not fork_available():
+            pytest.skip("fork unavailable")
+        quarantine_backend("fork", "watchdog exhausted")
+        envelope = Session().run("figure3", n_traces=64, chunk_size=16, jobs=2)
+        assert envelope.ok
+        assert any(
+            "quarantined" in note and "running serial" in note for note in envelope.notes
+        )

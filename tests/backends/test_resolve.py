@@ -1,18 +1,19 @@
-"""Policy resolution: auto degradation chain, strict explicit names."""
+"""Policy resolution: one auto candidate then serial, strict explicit names."""
 
 import pytest
 
 from repro.backends import (
+    BACKEND_POLICIES,
     BackendContext,
     BackendDegradationWarning,
     BackendUnavailable,
     CLI_BACKEND_CHOICES,
-    ForkBackend,
     PoolBackend,
     SerialBackend,
-    SpawnBackend,
+    clear_quarantine,
     fork_available,
     make_backend,
+    quarantine_backend,
     resolve_backend,
 )
 from repro.backends.faults import _identity
@@ -20,22 +21,41 @@ from repro.backends.faults import _identity
 needs_fork = pytest.mark.skipif(not fork_available(), reason="fork unavailable")
 
 
+@pytest.fixture(autouse=True)
+def _clean_quarantine():
+    clear_quarantine()
+    yield
+    clear_quarantine()
+
+
 class TestMakeBackend:
+    def test_serial_name_maps_to_the_reference(self):
+        assert isinstance(make_backend("serial", jobs=2), SerialBackend)
+
     @pytest.mark.parametrize(
-        ("policy", "cls"),
-        [("serial", SerialBackend), ("fork", ForkBackend), ("spawn", SpawnBackend)],
+        "policy", [pytest.param("fork", marks=needs_fork), "spawn"]
     )
-    def test_names_map_to_classes(self, policy, cls):
-        assert isinstance(make_backend(policy, jobs=2), cls)
+    def test_start_method_names_map_to_per_call_pools(self, policy):
+        backend = make_backend(policy, jobs=2)
+        assert isinstance(backend, PoolBackend)
+        assert backend.name == backend.start_method == policy
+        assert not backend.persistent
+        assert backend.workers == 2
 
     def test_pool_policy_builds_a_persistent_backend(self):
         backend = make_backend("pool", jobs=2)
         assert isinstance(backend, PoolBackend)
+        assert backend.name == "pool" and backend.persistent
         backend.close()
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown backend policy"):
             make_backend("threads")
+
+    def test_numba_is_no_longer_a_policy(self):
+        assert BACKEND_POLICIES == ("auto", "serial", "fork", "spawn", "pool")
+        with pytest.raises(ValueError, match="unknown backend policy"):
+            make_backend("numba")
 
 
 class TestResolveAuto:
@@ -54,16 +74,18 @@ class TestResolveAuto:
     @needs_fork
     def test_parallel_prefers_fork(self):
         backend, owned = resolve_backend("auto", jobs=4, n_tasks=8)
-        assert isinstance(backend, ForkBackend) and owned
+        assert isinstance(backend, PoolBackend) and owned
+        assert backend.name == "fork" and not backend.persistent
         assert backend.workers == 4
 
     def test_falls_back_to_spawn_without_fork(self, monkeypatch):
         monkeypatch.setattr("repro.backends.pools.fork_available", lambda: False)
         context = BackendContext(campaign=None, inputs=None, power_transform=_identity)
         backend, _owned = resolve_backend("auto", jobs=2, n_tasks=4, context=context)
-        assert isinstance(backend, SpawnBackend)
+        assert isinstance(backend, PoolBackend)
+        assert backend.name == "spawn" and not backend.persistent
 
-    def test_degrades_loudly_when_nothing_parallel_works(self, monkeypatch):
+    def test_degrades_loudly_when_spawn_cannot_pickle(self, monkeypatch):
         monkeypatch.setattr("repro.backends.pools.fork_available", lambda: False)
         context = BackendContext(
             campaign=None, inputs=None, power_transform=lambda power: power
@@ -71,6 +93,29 @@ class TestResolveAuto:
         with pytest.warns(BackendDegradationWarning, match="jobs=4"):
             backend, owned = resolve_backend("auto", jobs=4, n_tasks=8, context=context)
         assert isinstance(backend, SerialBackend) and owned
+
+    @needs_fork
+    def test_fork_needs_no_picklable_context(self):
+        context = BackendContext(
+            campaign=None, inputs=None, power_transform=lambda power: power
+        )
+        backend, _owned = resolve_backend("auto", jobs=2, n_tasks=4, context=context)
+        assert backend.name == "fork"
+
+    @needs_fork
+    def test_quarantined_fork_degrades_straight_to_serial(self):
+        # One step: spawn is not tried even though it would work.
+        quarantine_backend("fork", "watchdog exhausted")
+        with pytest.warns(BackendDegradationWarning, match="running serial"):
+            backend, owned = resolve_backend("auto", jobs=2, n_tasks=4)
+        assert isinstance(backend, SerialBackend) and owned
+
+    def test_quarantined_spawn_degrades_to_serial_without_fork(self, monkeypatch):
+        monkeypatch.setattr("repro.backends.pools.fork_available", lambda: False)
+        quarantine_backend("spawn", "watchdog exhausted")
+        with pytest.warns(BackendDegradationWarning, match="'spawn' backend is quarantined"):
+            backend, _owned = resolve_backend("auto", jobs=2, n_tasks=4)
+        assert isinstance(backend, SerialBackend)
 
 
 class TestResolveExplicit:
@@ -88,6 +133,10 @@ class TestResolveExplicit:
         with pytest.raises(TypeError, match="policy"):
             resolve_backend(42, jobs=2)
 
+    def test_numba_name_raises(self):
+        with pytest.raises(ValueError, match="unknown backend policy"):
+            resolve_backend("numba", jobs=2)
+
     def test_explicit_fork_is_strict_about_availability(self, monkeypatch):
         import multiprocessing
 
@@ -101,8 +150,11 @@ class TestResolveExplicit:
         backend, owned = resolve_backend("serial", jobs=8, n_tasks=8)
         assert isinstance(backend, SerialBackend) and owned
 
+    @pytest.mark.parametrize("policy", ["spawn", "pool"])
+    def test_explicit_pool_with_nothing_to_fan_out_runs_serial(self, policy):
+        backend, owned = resolve_backend(policy, jobs=1, n_tasks=8)
+        assert isinstance(backend, SerialBackend) and owned
+
 
 def test_cli_choices_are_a_subset_of_the_policies():
-    from repro.backends import BACKEND_POLICIES
-
     assert set(CLI_BACKEND_CHOICES) <= set(BACKEND_POLICIES)

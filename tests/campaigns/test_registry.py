@@ -131,69 +131,32 @@ class TestCustomScenario:
             registry._REGISTRY.pop("_test-strict", None)
 
 
-class TestLegacyShims:
-    def test_run_options_import_warns(self):
-        with pytest.warns(DeprecationWarning, match="RunRequest"):
+class TestLegacyShimsRemoved:
+    def test_run_options_is_gone(self):
+        with pytest.raises(ImportError):
             from repro.campaigns.registry import RunOptions  # noqa: F401
+        import repro.campaigns
 
-    def test_run_options_still_runs_leniently(self):
-        """Legacy RunOptions keeps the historical semantics for one
-        release: unsupported knobs are dropped, not an error."""
-        calls = []
-        register(
+        assert "RunOptions" not in repro.campaigns.__all__
+        with pytest.raises(AttributeError):
+            repro.campaigns.RunOptions  # noqa: B018
+
+    @pytest.mark.parametrize(
+        "flag", ["supports_chunking", "supports_jobs", "supports_precision", "supports_grid"]
+    )
+    def test_supports_booleans_raise_type_error(self, flag):
+        with pytest.raises(TypeError, match=flag):
             Scenario(
-                name="_test-legacy",
+                name="_test-supports",
                 title="t",
                 description="d",
-                runner=calls.append,
-                default_traces=10,
-                capabilities=frozenset({Capability.TRACES}),
+                runner=lambda request: request,
+                default_traces=100,
+                **{flag: True},
             )
-        )
-        try:
-            with pytest.warns(DeprecationWarning):
-                from repro.campaigns.registry import RunOptions
-            registry.run("_test-legacy", RunOptions(n_traces=7, jobs=4, chunk_size=2))
-            (request,) = calls
-            assert request.n_traces == 7
-            assert request.chunk_size is None  # dropped, as the old CLI did
-            assert request.jobs == 1
-            # The old API forwarded reps unconditionally (default 200).
-            assert request.reps == 200
-        finally:
-            registry._REGISTRY.pop("_test-legacy", None)
 
-    def test_run_options_forwards_traces_reps_seed_unconditionally(self):
-        """A pre-capability registration (no supports_* booleans, no
-        capability set) must still receive n_traces/reps/seed — the old
-        runner contract forwarded them for every scenario."""
-        calls = []
-        register(
-            Scenario(
-                name="_test-legacy-bare",
-                title="t",
-                description="d",
-                runner=calls.append,
-                default_traces=1000,
-            )
-        )
-        try:
-            with pytest.warns(DeprecationWarning):
-                from repro.campaigns.registry import RunOptions
-            registry.run(
-                "_test-legacy-bare", RunOptions(n_traces=500, reps=300, seed=3)
-            )
-            (request,) = calls
-            assert request.n_traces == 500
-            assert request.reps == 300
-            assert request.seed == 3
-        finally:
-            registry._REGISTRY.pop("_test-legacy-bare", None)
-
-    def test_bare_legacy_registration_backfills_traces_and_seed(self):
-        """A pre-capability Scenario(..., default_traces=N) with no
-        supports_* booleans and no capability set must still accept
-        n_traces/seed through the strict API path."""
+    def test_capabilities_are_exactly_what_is_declared(self):
+        # No backfill: an empty set plus a trace budget stays empty.
         scenario = Scenario(
             name="_test-bare",
             title="t",
@@ -201,26 +164,21 @@ class TestLegacyShims:
             runner=lambda request: request,
             default_traces=1000,
         )
-        assert scenario.capabilities == frozenset(
-            {Capability.TRACES, Capability.SEED}
-        )
-        RunRequest(n_traces=5, seed=1).validate(scenario)
+        assert scenario.capabilities == frozenset()
+        with pytest.raises(CapabilityError, match="n_traces"):
+            RunRequest(n_traces=5).validate(scenario)
 
-    def test_supports_booleans_map_to_capabilities(self):
-        with pytest.warns(DeprecationWarning, match="supports_"):
-            scenario = Scenario(
-                name="_test-supports",
-                title="t",
-                description="d",
-                runner=lambda request: request,
-                default_traces=100,
-                supports_chunking=True,
-                supports_jobs=True,
-            )
-        assert scenario.has(Capability.CHUNKING)
-        assert scenario.has(Capability.JOBS)
-        assert not scenario.has(Capability.GRID)
-        # Legacy declarations predate TRACES/SEED: a scenario with a
-        # trace budget always accepted both.
-        assert scenario.has(Capability.TRACES)
-        assert scenario.has(Capability.SEED)
+    def test_capabilities_iterable_is_coerced_to_frozenset(self):
+        scenario = Scenario(
+            name="_test-list",
+            title="t",
+            description="d",
+            runner=lambda request: request,
+            capabilities=[Capability.TRACES, Capability.SEED],
+        )
+        assert scenario.capabilities == frozenset({Capability.TRACES, Capability.SEED})
+
+    def test_every_builtin_declares_capabilities(self):
+        for scenario in registry.scenarios():
+            if scenario.default_traces is not None:
+                assert scenario.has(Capability.TRACES), scenario.name

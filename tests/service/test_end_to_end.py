@@ -14,6 +14,7 @@ Pins the acceptance contract of the service layer:
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -173,6 +174,44 @@ class TestHttpContract:
         status, _, headers = service.request("DELETE", "/v1/runs")
         assert status == 405
         assert headers.get("allow") == "POST"
+
+
+    def test_numba_backend_is_a_400(self, service):
+        with pytest.raises(ServiceError) as excinfo:
+            service.submit("figure3", dict(REQUEST, backend="numba"))
+        assert excinfo.value.status == 400
+        assert any("numba" in p for p in excinfo.value.body["error"]["problems"])
+
+
+def raw_exchange(port, head):
+    """Send raw request bytes on a fresh socket; parse the one response."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(head)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    head_bytes, _, body = data.partition(b"\r\n\r\n")
+    status = int(head_bytes.split(b" ", 2)[1])
+    return status, json.loads(body)
+
+
+class TestMalformedContentLength:
+    @pytest.mark.parametrize("length", [b"abc", b"-5", b"1e3", b"\xb2"])
+    def test_answers_400_and_keeps_serving(self, service, length):
+        status, body = raw_exchange(
+            service.port,
+            b"POST /v1/runs HTTP/1.1\r\nHost: x\r\nContent-Length: "
+            + length
+            + b"\r\n\r\n{}",
+        )
+        assert status == 400
+        assert body["error"]["type"] == "bad-request"
+        assert "Content-Length" in body["error"]["message"]
+        # The server survived the bad request and answers the next one.
+        assert service.healthz()["status"] == "ok"
 
 
 class TestQuotaOverHttp:
