@@ -59,7 +59,8 @@ class RunRequest:
     resume: bool | None = None
     #: where campaign statistics fold: ``"parent"`` streams raw chunks
     #: back, ``"worker"`` folds worker-side and ships only sufficient
-    #: statistics (comms-avoiding; requires REDUCE)
+    #: statistics (comms-avoiding; requires REDUCE); unset, the
+    #: scenario decides (figure3 from its chunk and fold-state sizes)
     reduce: str | None = None
     #: path of a corpus batch manifest (requires MANIFEST; the corpus
     #: scenario also *requires* one to be set — see docs/corpus.md)

@@ -81,6 +81,35 @@ def make_backend(policy: str, jobs: int = 1) -> ExecutionBackend:
     raise ValueError(f"unknown backend policy {policy!r}; expected one of {BACKEND_POLICIES}")
 
 
+def _nothing_to_fan_out(jobs: int, n_tasks: int | None) -> bool:
+    # Spinning up a pool for one worker or one chunk only adds
+    # fork/pickle overhead (BENCH_backends.json had fork at jobs=1
+    # around half the serial throughput), and serial is byte-identical
+    # by contract.
+    return jobs <= 1 or (n_tasks is not None and n_tasks <= 1)
+
+
+def _auto_candidate() -> str:
+    return "fork" if _pools.fork_available() else "spawn"
+
+
+def runs_in_workers(policy, jobs: int = 1, *, n_tasks: int | None = None) -> bool:
+    """Whether :func:`resolve_backend` would run these tasks in worker processes.
+
+    Answers without building a backend: a live backend does unless it
+    is serial; a policy name does when there is something to fan out
+    and the policy is a pool (``auto``: its one candidate, unless that
+    is quarantined).
+    """
+    if isinstance(policy, ExecutionBackend):
+        return not isinstance(policy, SerialBackend)
+    if policy == "serial" or _nothing_to_fan_out(jobs, n_tasks):
+        return False
+    if policy is None or policy == "auto":
+        return not is_quarantined(_auto_candidate())
+    return True
+
+
 def resolve_backend(
     policy,
     jobs: int = 1,
@@ -105,11 +134,7 @@ def resolve_backend(
         raise TypeError(
             f"backend policy must be a string or ExecutionBackend, got {type(policy).__name__}"
         )
-    # Nothing to fan out: spinning up a pool for one worker or one chunk
-    # only adds fork/pickle overhead (BENCH_backends.json had fork at
-    # jobs=1 around half the serial throughput), and serial is
-    # byte-identical by contract.
-    nothing_to_fan_out = jobs <= 1 or (n_tasks is not None and n_tasks <= 1)
+    nothing_to_fan_out = _nothing_to_fan_out(jobs, n_tasks)
     if policy != "auto":
         if policy not in BACKEND_POLICIES:
             raise ValueError(
@@ -120,7 +145,7 @@ def resolve_backend(
         return (SerialBackend() if nothing_to_fan_out else backend), True
     if nothing_to_fan_out:
         return SerialBackend(), True
-    candidate = "fork" if _pools.fork_available() else "spawn"
+    candidate = _auto_candidate()
     try:
         if is_quarantined(candidate):
             raise BackendUnavailable(
@@ -169,4 +194,5 @@ __all__ = [
     "quarantine_info",
     "resolve_backend",
     "run_chunk_task",
+    "runs_in_workers",
 ]

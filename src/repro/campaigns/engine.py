@@ -49,6 +49,7 @@ from repro.backends import (
     SerialBackend,
     quarantine_backend,
     resolve_backend,
+    runs_in_workers,
 )
 from repro.backends.resilience import active_report
 from repro.campaigns.checkpoint import Checkpointer, checkpoint_fingerprint, digest_inputs
@@ -63,6 +64,10 @@ from repro.power.acquisition import (
 from repro.power.profile import LeakageProfile
 from repro.power.scope import Oscilloscope, ScopeConfig
 from repro.uarch.config import PipelineConfig
+
+#: Captured trace samples, on both precision chains (the precision
+#: governs intermediate arithmetic, not the output dtype).
+TRACE_DTYPE = np.dtype(np.float32)
 
 #: Entry bound of the process-wide compile cache.  A figure3 entry
 #: (schedule, leakage schedule with its packed plans, replay tape) is
@@ -147,6 +152,35 @@ def schedule_cache_stats() -> dict[str, int]:
 def clear_schedule_cache() -> None:
     """Drop every cached entry (the counters keep running)."""
     _SCHEDULE_CACHE.clear()
+
+
+def _chunk_trace_set(
+    payload, inputs: BatchInputs, lo: int, compiled: CompiledAcquisition
+) -> TraceSet:
+    """One chunk's raw result payload as a :class:`TraceSet`."""
+    if hasattr(payload, "materialize"):
+        # shm descriptor: attach, unlink, wrap zero-copy (cached —
+        # validation may have attached already).
+        payload = payload.materialize()
+    if isinstance(payload, TraceSet):
+        # Rare: the chunk recompiled against a different path
+        # (data-dependent branch direction), or the backend ships whole
+        # trace sets; take it as-is.
+        return payload
+    # Common case: the worker's schedule matches the parent's compiled
+    # triple, so only the per-chunk data crossed the pipe; rewrap with
+    # shared objects.
+    traces, table, power = payload
+    path, schedule, leakage = compiled
+    return TraceSet(
+        traces=traces,
+        inputs=inputs.slice(lo, lo + traces.shape[0]),
+        schedule=schedule,
+        leakage=leakage,
+        table=table,
+        path=path,
+        power=power,
+    )
 
 
 @dataclass
@@ -368,7 +402,6 @@ class StreamingCampaign:
                 run_tasks = [tasks[-1]]
                 replay_last = True
         policy = backend if backend is not None else self.backend
-        path, schedule, leakage = compiled
         try:
             for index, lo, payload in self._dispatch(
                 context,
@@ -378,31 +411,11 @@ class StreamingCampaign:
                 checkpoint=checkpoint,
                 replay_last=replay_last,
             ):
-                if hasattr(payload, "materialize"):
-                    # shm descriptor: attach, unlink, wrap zero-copy
-                    # (cached — validation may have attached already).
-                    payload = payload.materialize()
-                if isinstance(payload, TraceSet):
-                    # Rare: the chunk recompiled against a different path
-                    # (data-dependent branch direction), or the backend
-                    # ships whole trace sets; take it as-is.
-                    trace_set = payload
-                else:
-                    # Common case: the worker's schedule matches the
-                    # parent's compiled triple, so only the per-chunk
-                    # data crossed the pipe; rewrap with shared objects.
-                    traces, table, power = payload
-                    trace_set = TraceSet(
-                        traces=traces,
-                        inputs=inputs.slice(lo, lo + traces.shape[0]),
-                        schedule=schedule,
-                        leakage=leakage,
-                        table=table,
-                        path=path,
-                        power=power,
-                    )
                 yield TraceChunk(
-                    start=lo, index=index, trace_set=trace_set, replayed=replay_last
+                    start=lo,
+                    index=index,
+                    trace_set=_chunk_trace_set(payload, inputs, lo, compiled),
+                    replayed=replay_last,
                 )
         finally:
             if codec is not None:
@@ -424,34 +437,47 @@ class StreamingCampaign:
         retry: RetryPolicy | int | None = None,
         chunk_timeout: float | None = None,
         checkpoint: Checkpointer | None = None,
+        placement: str | None = "worker",
     ):
-        """Run the campaign comms-avoidingly: fold worker-side, merge states.
+        """Run the campaign as one fold: chunk statistics, merged in order.
 
         ``fold`` is a :class:`~repro.campaigns.reduction.ChunkFold`.
-        Each worker folds its chunk into a fresh accumulator and ships
-        only the accumulator's compact sufficient-statistic state; the
-        parent merges the states **in chunk order**, which keeps the
-        merged result byte-identical to the serial fold (and keeps
-        budget snapshots chunk-aligned).  Raw traces never cross the
-        process boundary — statistics-only campaigns shrink their IPC
-        by orders of magnitude (see ``BENCH_comms.json``).
+        ``placement`` says where it runs:
+
+        * ``"worker"`` (the default) — the comms-avoiding dispatch.
+          Each worker folds its chunk into a fresh accumulator and ships
+          only the accumulator's compact sufficient-statistic state; the
+          parent merges the states **in chunk order**, which keeps the
+          merged result byte-identical to the serial fold (and keeps
+          budget snapshots chunk-aligned).
+        * ``"parent"`` — the trace blocks cross the process boundary
+          and the parent folds each one as it arrives
+          (:meth:`~repro.campaigns.reduction.ChunkFold.fold_into`).
+        * ``None`` — :func:`~repro.campaigns.reduction.choose_placement`
+          picks: the workers when they run out of process on more than
+          one chunk and one chunk's fold state is smaller than its
+          trace block, else the parent.
+
+        The result is the same bytes wherever the fold runs.
 
         The resilience knobs behave exactly as for :meth:`stream`;
-        per-chunk validation inspects the fold states (finiteness) and a
-        retried chunk recomputes its state from scratch, so a recovered
-        campaign merges each chunk exactly once.  With a ``checkpoint``,
-        the *merged* accumulator state persists after every folded chunk
+        per-chunk validation inspects what crosses the boundary (fold
+        states for finiteness, trace blocks as :meth:`stream` does) and
+        a retried chunk recomputes from scratch, so a recovered campaign
+        folds each chunk exactly once.  With a ``checkpoint``, the
+        *merged* accumulator state persists after every folded chunk
         (the checkpoint's ``state_fn``/``restore_fn`` default to the
-        fold's ``freeze``/``thaw``); a resumed run re-acquires only
-        missing chunks and merges them onto the restored state.
+        fold's ``freeze``/``thaw``).  Placement is not part of the
+        checkpoint, so a run killed under one placement resumes under
+        the other, re-acquiring only missing chunks.
 
         Returns a :class:`~repro.campaigns.reduction.ReducedCampaign`
-        whose ``value`` is the merged accumulator and whose
-        ``trace_set`` is a zero-row metadata trace set over the
-        compiled schedule.
+        whose ``value`` is the merged accumulator, whose ``trace_set``
+        is a zero-row metadata trace set over the compiled schedule, and
+        which records the placement and the sizes that decided it.
         """
         from repro.campaigns.checkpoint import checkpoint_fingerprint as _fp
-        from repro.campaigns.reduction import FoldCodec, ReducedCampaign
+        from repro.campaigns.reduction import FoldCodec, ReducedCampaign, choose_placement
 
         bounds, jobs, compiled, tasks, context = self._prepare(
             inputs,
@@ -462,9 +488,7 @@ class StreamingCampaign:
             retry,
             chunk_timeout,
             checkpoint,
-            validator=self._state_validator(),
         )
-        context.codec = FoldCodec(fold)
         holder = {"acc": fold.create()}
         run_tasks = tasks
         if checkpoint is not None:
@@ -483,15 +507,34 @@ class StreamingCampaign:
             )
             completed = checkpoint.begin(fingerprint, n_chunks=len(tasks))
             run_tasks = [task for task in tasks if task.index not in completed]
-        by_index = {task.index: task for task in tasks}
         policy = backend if backend is not None else self.backend
-        for index, _lo, state in self._dispatch(
+        chosen = choose_placement(
+            fold,
+            n_samples=compiled.leakage.n_samples,
+            chunk_traces=bounds[0][1] - bounds[0][0],
+            itemsize=TRACE_DTYPE.itemsize,
+            n_chunks=len(run_tasks),
+            in_workers=runs_in_workers(policy, jobs, n_tasks=len(run_tasks)),
+            forced=placement,
+        )
+        in_workers = chosen.where == "worker"
+        if in_workers:
+            context.codec = FoldCodec(fold)
+            if context.resilience is not None:
+                context.resilience.validator = self._state_validator()
+        by_index = {task.index: task for task in tasks}
+        for index, lo, payload in self._dispatch(
             context, run_tasks, policy=policy, jobs=jobs, checkpoint=checkpoint
         ):
-            holder["acc"] = fold.merge_state(holder["acc"], by_index[index], state)
+            task = by_index[index]
+            if in_workers:
+                holder["acc"] = fold.merge_state(holder["acc"], task, payload)
+            else:
+                trace_set = _chunk_trace_set(payload, inputs, lo, compiled)
+                holder["acc"] = fold.fold_into(holder["acc"], task, trace_set)
         path, schedule, leakage = compiled
         meta = TraceSet(
-            traces=np.empty((0, leakage.n_samples), dtype=np.float32),
+            traces=np.empty((0, leakage.n_samples), dtype=TRACE_DTYPE),
             inputs=inputs,
             schedule=schedule,
             leakage=leakage,
@@ -504,6 +547,9 @@ class StreamingCampaign:
             trace_set=meta,
             n_traces=inputs.n_traces,
             n_chunks=len(tasks),
+            placement=chosen.where,
+            state_bytes=chosen.state_bytes,
+            chunk_bytes=chosen.chunk_bytes,
             backend={"policy": getattr(policy, "name", policy) or "auto", "jobs": jobs},
         )
 
@@ -517,7 +563,6 @@ class StreamingCampaign:
         retry,
         chunk_timeout,
         checkpoint,
-        validator: Callable | None = None,
     ):
         """The shared stream/reduce prelude: compile, calibrate, build tasks."""
         if power_transform is not None and power_transform_factory is not None:
@@ -536,9 +581,7 @@ class StreamingCampaign:
             if power_transform_factory is not None
             else power_transform
         )
-        resilience = self._resilience_context(
-            retry, chunk_timeout, checkpoint, compiled, validator=validator
-        )
+        resilience = self._resilience_context(retry, chunk_timeout, checkpoint, compiled)
         # Calibration applies chunk 0's transform in the parent, so a
         # transient fault can strike here too; give it the same retry
         # budget the chunks get (index -1 in the fault report).
@@ -637,13 +680,12 @@ class StreamingCampaign:
         chunk_timeout: float | None,
         checkpoint: Checkpointer | None,
         compiled: CompiledAcquisition,
-        validator: Callable | None = None,
     ) -> ResilienceContext | None:
         """Build the stream's resilience state, or ``None`` when off.
 
-        Any resilience knob also arms per-chunk validation (by default
-        the trace-block validator; ``validator`` overrides it for
-        encoded payloads such as fold states); the ambient fault report
+        Any resilience knob also arms per-chunk validation (the
+        trace-block validator; :meth:`reduce` swaps in the fold-state
+        validator when workers fold); the ambient fault report
         (a :class:`~repro.api.session.Session` collecting faults) is
         reused so events reach the result envelope.
         """
@@ -660,7 +702,7 @@ class StreamingCampaign:
         context = ResilienceContext(
             policy=policy,
             chunk_timeout=chunk_timeout,
-            validator=validator if validator is not None else self._chunk_validator(compiled),
+            validator=self._chunk_validator(compiled),
         )
         ambient = active_report()
         if ambient is not None:
@@ -698,9 +740,7 @@ class StreamingCampaign:
         :class:`~repro.backends.ChunkCorruption` (retryable).
         """
         expected_samples = compiled.leakage.n_samples
-        # Both precision chains store captured traces as float32 (the
-        # mode governs intermediate arithmetic, not the output dtype).
-        expected_dtype = np.dtype(np.float32)
+        expected_dtype = TRACE_DTYPE
 
         def validate(task: ChunkTask, payload) -> None:
             if hasattr(payload, "materialize"):

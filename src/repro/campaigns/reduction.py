@@ -22,6 +22,12 @@ on the :class:`~repro.backends.base.BackendContext` that backends call
 worker-side to encode a chunk's :class:`~repro.power.acquisition.TraceSet`
 into its fold state before it crosses the process boundary.  See
 ``docs/backends.md`` ("Reduction modes") for the full contract.
+
+:func:`choose_placement` decides where a campaign's fold runs when the
+caller leaves it open: in the workers when they run out of process and
+one chunk's fold state is smaller than the trace block it replaces,
+otherwise in the parent, straight from the shipped traces.  Both
+placements produce the same bytes.
 """
 
 from __future__ import annotations
@@ -46,6 +52,9 @@ from repro.sca.ttest import TVLA_THRESHOLD
 #: dropped), matching :data:`repro.sweeps.metrics.T_SPLIT`.
 HW_T_SPLIT = (3, 5)
 
+#: where a streamed fold can run
+PLACEMENTS = ("parent", "worker")
+
 
 class ChunkFold(abc.ABC):
     """How one campaign's statistics fold, split across processes.
@@ -67,6 +76,23 @@ class ChunkFold(abc.ABC):
     @abc.abstractmethod
     def merge_state(self, accumulator: Any, task: ChunkTask, state: Any) -> Any:
         """Parent-side: merge one chunk's state, in chunk order."""
+
+    def fold_into(self, accumulator: Any, task: ChunkTask, trace_set: TraceSet) -> Any:
+        """Parent-side: fold one chunk's traces straight into the accumulator.
+
+        The default merges the chunk's own state, which replays the
+        combine step ``update`` would have run; folds override it to
+        update in place when that saves the state round trip.
+        """
+        return self.merge_state(accumulator, task, self.fold_chunk(task, trace_set))
+
+    def state_nbytes(self, n_samples: int) -> int | None:
+        """Bytes of one chunk's fold state, or ``None`` when unknown.
+
+        A fold of unknown size always runs in the parent under the
+        automatic placement.
+        """
+        return None
 
     def freeze(self, accumulator: Any) -> Any:
         """The accumulator as a checkpointable state (default: itself)."""
@@ -146,19 +172,28 @@ class SboxCpaFold(ChunkFold):
         return CpaAccumulator(self.guesses)
 
     def fold_chunk(self, task: ChunkTask, trace_set: TraceSet) -> dict:
+        return self.fold_into(self.create(), task, trace_set).state()
+
+    def fold_into(self, accumulator, task, trace_set):
         from repro.sca.models import hw_sbox_model
 
         plaintexts = _chunk_plaintexts(trace_set, self.state_block)
-        part = CpaAccumulator(self.guesses)
-        part.update(
+        accumulator.update(
             trace_set.traces,
             lambda guess: hw_sbox_model(plaintexts, self.byte_index, guess),
         )
-        return part.state()
+        return accumulator
 
     def merge_state(self, accumulator, task, state):
         accumulator.merge(CpaAccumulator.from_state(state))
         return accumulator
+
+    def state_nbytes(self, n_samples: int) -> int:
+        # float64 co-moments [guesses, samples], the trace-side mean and
+        # M2 [samples], and the model-side mean, M2 and guess list
+        # [guesses] (the list as int64).
+        guesses = len(self.guesses)
+        return 8 * (guesses * n_samples + 2 * n_samples + 3 * guesses)
 
     def freeze(self, accumulator):
         return accumulator.state()
@@ -259,6 +294,47 @@ class SboxTTestFold(ChunkFold):
         return OnlineTTestAccumulator.from_state(frozen)
 
 
+@dataclass(frozen=True)
+class Placement:
+    """Where a streamed fold runs, and the two sizes that decided it."""
+
+    where: str
+    #: one chunk's fold state (``None``: the fold does not know)
+    state_bytes: int | None
+    #: one chunk's trace block, ``chunk_traces x n_samples x itemsize``
+    chunk_bytes: int
+
+
+def choose_placement(
+    fold: ChunkFold,
+    *,
+    n_samples: int,
+    chunk_traces: int,
+    itemsize: int,
+    n_chunks: int,
+    in_workers: bool,
+    forced: str | None = None,
+) -> Placement:
+    """Run ``fold`` in the workers only where that ships fewer bytes.
+
+    The fold moves to the workers when both hold: the backend runs the
+    chunks in worker processes (``in_workers``) and there is more than
+    one chunk, and one chunk's fold state is smaller than that chunk's
+    trace block.  Otherwise the traces cross the process boundary as
+    they are and the parent folds them.  ``forced`` (``"parent"`` or
+    ``"worker"``) overrides the rule; the sizes are recorded either way.
+    """
+    if forced is not None and forced not in PLACEMENTS:
+        raise ValueError(f"placement must be one of {PLACEMENTS}, got {forced!r}")
+    state_bytes = fold.state_nbytes(n_samples)
+    chunk_bytes = chunk_traces * n_samples * itemsize
+    where = forced
+    if where is None:
+        smaller = state_bytes is not None and state_bytes < chunk_bytes
+        where = "worker" if in_workers and n_chunks > 1 and smaller else "parent"
+    return Placement(where=where, state_bytes=state_bytes, chunk_bytes=chunk_bytes)
+
+
 @dataclass
 class ReducedCampaign:
     """What :meth:`StreamingCampaign.reduce` returns.
@@ -275,4 +351,9 @@ class ReducedCampaign:
     trace_set: TraceSet
     n_traces: int
     n_chunks: int
+    #: where the fold ran, ``"worker"`` or ``"parent"``
+    placement: str
+    #: the sizes :func:`choose_placement` compared
+    state_bytes: int | None
+    chunk_bytes: int
     backend: dict = field(default_factory=dict)

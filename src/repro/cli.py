@@ -72,9 +72,12 @@ Flags:
 ``--reduce parent|worker``
     Where campaign statistics fold.  ``worker`` is the comms-avoiding
     mode: each worker folds its chunk locally and ships only compact
-    sufficient statistics, merged in chunk order — byte-identical to
-    the parent fold at a fraction of the IPC bytes (see
-    ``docs/backends.md``, "Reduction modes").
+    sufficient statistics, merged in chunk order; ``parent`` ships the
+    traces and folds them in the parent.  Unset, the campaign picks:
+    ``worker`` when a pool runs more than one chunk and a chunk's fold
+    state is smaller than its trace block, else ``parent``.  The output
+    is byte-identical either way (see ``docs/backends.md``, "Reduction
+    modes").
 ``--format json|text``
     ``text`` (default) prints each scenario's rendered report;
     ``json`` emits an array of schema-versioned result envelopes
@@ -245,8 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "where campaign statistics fold: 'worker' ships only "
-            "sufficient statistics between processes (comms-avoiding, "
-            "byte-identical); default: 'parent'"
+            "sufficient statistics between processes, 'parent' ships "
+            "the traces (byte-identical either way); default: 'worker' "
+            "when a pool runs several chunks whose fold state is "
+            "smaller than their traces, else 'parent'"
         ),
     )
     parser.add_argument(

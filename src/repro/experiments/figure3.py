@@ -27,8 +27,8 @@ import numpy as np
 
 from repro.api.capabilities import Capability
 from repro.api.request import RunRequest
-from repro.campaigns.accumulators import CpaAccumulator
 from repro.campaigns.engine import StreamingCampaign
+from repro.campaigns.reduction import SboxCpaFold
 from repro.campaigns.registry import Scenario, register
 from repro.crypto.aes_asm import LAYOUT, round1_only_program
 from repro.experiments.reporting import ascii_plot, render_table, samples_to_microseconds
@@ -63,6 +63,9 @@ class Figure3Result:
     segments: dict[str, tuple[int, int]]  # primitive -> (sample_lo, sample_hi)
     zero_store_sample: int | None
     n_traces: int
+    #: where the CPA folded (``"worker"`` or ``"parent"``); not part of
+    #: the envelope, which is the same bytes either way
+    placement: str
     checks: dict[str, bool] = field(default_factory=dict)
 
     @property
@@ -176,12 +179,16 @@ def run_figure3(
     ``resume=True`` re-acquires only the missing chunks and produces
     byte-identical results (see ``docs/resilience.md``).
 
-    ``reduce="worker"`` runs the comms-avoiding dispatch: each worker
-    folds its chunk into a CPA accumulator locally and only the compact
-    sufficient-statistic state crosses the process boundary, merged in
-    chunk order — byte-identical to the streamed parent fold, at a
-    fraction of the IPC bytes (see ``BENCH_comms.json``).  The default
-    (``None`` or ``"parent"``) keeps the raw-chunk paths above.
+    ``reduce`` says where a streamed campaign's CPA folds.  ``"worker"``
+    runs the comms-avoiding dispatch: each worker folds its chunk into a
+    CPA accumulator locally and only the compact sufficient-statistic
+    state crosses the process boundary, merged in chunk order.
+    ``"parent"`` ships the trace blocks and folds them in the parent.
+    The default (``None``) picks the workers when a pool runs more than
+    one chunk and a chunk's CPA state is smaller than its trace block
+    (:func:`repro.campaigns.reduction.choose_placement`), else the
+    parent.  Every placement gives the same bytes; the result records
+    the one taken in ``placement``.
     """
     if reduce not in (None, "parent", "worker"):
         raise ValueError(f"reduce must be 'parent' or 'worker', got {reduce!r}")
@@ -200,18 +207,22 @@ def run_figure3(
         jobs=jobs,
         backend=backend,
     )
-    plaintexts = inputs.mem_bytes[LAYOUT.state]
-
     resilient = retries is not None or chunk_timeout is not None or checkpoint is not None
-    if reduce == "worker":
-        from repro.campaigns.reduction import SboxCpaFold
-
+    if chunk_size is None and not resilient and reduce != "worker":
+        placement = "parent"
+        plaintexts = inputs.mem_bytes[LAYOUT.state]
+        trace_set = engine.acquire(inputs)
+        cpa = cpa_attack(
+            trace_set.traces, lambda guess: hw_sbox_model(plaintexts, byte_index, guess)
+        )
+    else:
         checkpointer = None
         if checkpoint is not None:
             from repro.campaigns.checkpoint import Checkpointer
 
             # No state_fn/restore_fn: the engine persists the merged
-            # fold state via the fold's own freeze/thaw.
+            # fold state via the fold's own freeze/thaw, in one format
+            # whichever placement runs, so either can resume the other.
             checkpointer = Checkpointer(checkpoint, resume=resume)
         reduced = engine.reduce(
             inputs,
@@ -219,48 +230,11 @@ def run_figure3(
             retry=retries,
             chunk_timeout=chunk_timeout,
             checkpoint=checkpointer,
+            placement=reduce,
         )
+        placement = reduced.placement
         trace_set = reduced.trace_set
         cpa = reduced.value.result()
-    elif chunk_size is None and not resilient:
-        trace_set = engine.acquire(inputs)
-        cpa = cpa_attack(
-            trace_set.traces, lambda guess: hw_sbox_model(plaintexts, byte_index, guess)
-        )
-    else:
-        # A mutable holder so checkpoint restore can swap the live
-        # accumulator for the persisted one before streaming resumes.
-        state = {"cpa": CpaAccumulator()}
-        checkpointer = None
-        if checkpoint is not None:
-            from repro.campaigns.checkpoint import Checkpointer
-
-            checkpointer = Checkpointer(
-                checkpoint,
-                state_fn=lambda: state["cpa"],
-                restore_fn=lambda saved: state.__setitem__("cpa", saved),
-                resume=resume,
-            )
-        trace_set = None
-        for chunk in engine.stream(
-            inputs,
-            retry=retries,
-            chunk_timeout=chunk_timeout,
-            checkpoint=checkpointer,
-        ):
-            trace_set = chunk.trace_set
-            if chunk.replayed:
-                # A fully-checkpointed run replays its last chunk for
-                # metadata only; its statistics are already in the
-                # restored accumulator.
-                continue
-            chunk_plaintexts = plaintexts[chunk.start : chunk.stop]
-            state["cpa"].update(
-                chunk.traces,
-                lambda guess: hw_sbox_model(chunk_plaintexts, byte_index, guess),
-            )
-        assert trace_set is not None
-        cpa = state["cpa"].result()
     segments = _segment_map(trace_set, program)
     threshold = significance_threshold(n_traces, confidence=0.995)
     timecourse = cpa.timecourse(key[byte_index])
@@ -282,6 +256,7 @@ def run_figure3(
         segments=segments,
         zero_store_sample=None,
         n_traces=n_traces,
+        placement=placement,
     )
     result.checks = {
         "correct key ranks first": cpa.rank_of(key[byte_index]) == 0,

@@ -22,10 +22,10 @@ class TestStreamedFigure3:
         assert streamed.cpa.n_traces == 400
 
     def test_chunk_metadata_still_describes_the_figure(self, streamed):
-        # The result's trace_set holds the last chunk: same schedule,
-        # same sample axis, chunk-sized trace matrix.
+        # The result's trace_set is the campaign's zero-row metadata
+        # trace set: same schedule and sample axis, no trace bytes.
         assert streamed.timecourse.shape == (streamed.trace_set.n_samples,)
-        assert streamed.trace_set.n_traces == 400 % 128  # the final chunk
+        assert streamed.trace_set.n_traces == 0
         assert set(streamed.segments) == {"ARK", "SB", "ShR", "MC"}
 
     def test_parallel_fanout_matches_serial(self, streamed):
