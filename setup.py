@@ -1,8 +1,9 @@
 """Legacy setup shim.
 
-The metadata lives in pyproject.toml; this file exists so that
-``pip install -e .`` works on environments whose setuptools predates
-PEP 660 editable-install support (no ``wheel`` package available).
+The metadata lives in pyproject.toml.  ``pip install -e .`` needs a
+``bdist_wheel`` command (the ``wheel`` package, or setuptools >= 70.1);
+where neither is installed, this file keeps ``python setup.py develop``
+working as the editable install.
 """
 
 from setuptools import setup

@@ -51,6 +51,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.sca.snr import SnrResult
+from repro.sca.stats import scrub_corr
 from repro.sca.ttest import TVLA_THRESHOLD, TTestResult
 
 
@@ -253,8 +254,7 @@ class OnlineCorrAccumulator:
         denominator = np.outer(np.sqrt(self._m2_x), np.sqrt(self._m2_y))
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = self._comoment / denominator
-        corr = np.nan_to_num(corr, nan=0.0, posinf=0.0, neginf=0.0)
-        corr = np.clip(corr, -1.0, 1.0)
+        scrub_corr(corr)
         return corr[0] if self._single else corr
 
     #: ``correlations`` reads the moments without consuming them; the

@@ -27,9 +27,9 @@ Two precision modes (``ScopeConfig.precision``):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.signal import lfilter
 
 #: Supported acquisition-chain precision modes.
 PRECISION_MODES = ("float64-exact", "float32")
@@ -48,13 +48,16 @@ def gaussian_table() -> np.ndarray:
     ``(i + 0.5) / 2^16``, rescaled so the table's second moment is
     exactly 1 — indexing it with uniform 16-bit integers yields
     unit-variance, zero-mean (by symmetry) Gaussian variates.
+
+    The stdlib quantiles differ from scipy's ``norm.ppf`` in the last
+    float64 ulp for some entries; after the rescale and the float32 cast
+    every entry is bit-equal to the table ``norm.ppf`` builds.
     """
     global _GAUSS_TABLE
     if _GAUSS_TABLE is None:
-        from scipy.stats import norm
-
         quantiles = (np.arange(2**16, dtype=np.float64) + 0.5) / 2**16
-        table = norm.ppf(quantiles)
+        inv_cdf = NormalDist().inv_cdf
+        table = np.array([inv_cdf(p) for p in quantiles.tolist()])
         table /= np.sqrt(np.mean(table**2))
         _GAUSS_TABLE = table.astype(np.float32)
     return _GAUSS_TABLE
@@ -139,7 +142,7 @@ class Oscilloscope:
             prefix = prefix + np.asarray(extra_noise, dtype=np.float64)
         kernel = np.asarray(config.kernel, dtype=np.float64)
         if kernel.size > 1 and prefix.size:
-            prefix = lfilter(kernel, [1.0], prefix, axis=1)
+            prefix = _fir(kernel, prefix)
         spread = float(prefix.max() - prefix.min()) if prefix.size else 0.0
         full_scale = spread + 8.0 * float(config.effective_sigma)
         return full_scale if full_scale > 0 else 1.0
@@ -188,7 +191,7 @@ class Oscilloscope:
             owned = True
         kernel = np.asarray(config.kernel, dtype=np.float64)
         if kernel.size > 1:
-            traces = lfilter(kernel, [1.0], traces, axis=1)
+            traces = _fir(kernel, traces)
             owned = True
         if config.jitter_samples > 0:
             shifts = self.rng.integers(
@@ -423,6 +426,23 @@ def _block_buffers(rows: int, n_samples: int) -> dict[str, np.ndarray]:
         _BLOCK_BUFFERS.clear()
         _BLOCK_BUFFERS[key] = buffers
     return buffers
+
+
+def _fir(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Causal FIR filter along the rows of ``x``, in float64.
+
+    Bit-identical to scipy's ``lfilter(kernel, [1.0], x, axis=1)``: the
+    same full ``np.convolve`` per row, truncated to the row length.
+    Keep it that way — a vectorized shifted multiply-add sums the taps
+    in another order and moves the last bit of some samples.
+    """
+    kernel = np.asarray(kernel, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    n_samples = x.shape[1]
+    full = np.empty((x.shape[0], n_samples + kernel.size - 1))
+    for row, out in zip(x, full):
+        out[:] = np.convolve(kernel, row)
+    return full[:, :n_samples]
 
 
 def _apply_jitter(traces: np.ndarray, shifts: np.ndarray) -> np.ndarray:

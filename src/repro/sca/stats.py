@@ -10,12 +10,17 @@ z-transform: ``atanh(r)`` is approximately normal with standard error
 over the trace matrix yields the correlation at *every* requested trace
 budget from cumulative cross-moments, replacing recompute-from-scratch
 loops in success-curve-style evaluations.
+
+The normal-distribution functions come from ``scipy.special``
+(``ndtri``/``ndtr``, the ufuncs scipy's ``norm`` wraps, so every verdict
+is bit-equal to the ``norm`` calls), imported inside the functions
+that need them: loading a scenario never pays for them, only computing
+a verdict does.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
 
 
 def normalize_budgets(budgets, n_traces: int) -> np.ndarray:
@@ -32,6 +37,17 @@ def normalize_budgets(budgets, n_traces: int) -> np.ndarray:
     return array
 
 
+def scrub_corr(corr: np.ndarray) -> np.ndarray:
+    """Zero the non-finite correlations and clip to [-1, 1], in place.
+
+    Equal to ``np.clip(np.nan_to_num(corr, nan=0, posinf=0, neginf=0),
+    -1, 1)`` (signed zeros included) without the two full-size copies.
+    Returns ``corr``.
+    """
+    corr[~np.isfinite(corr)] = 0.0
+    return np.clip(corr, -1.0, 1.0, out=corr)
+
+
 def _finish_corr(comoment, sum_x, sum_y, sq_x, sq_y, n: int) -> np.ndarray:
     """Pearson correlation from cumulative (shifted) raw cross-moments,
     with the same division/clipping discipline as :func:`pearson_corr`."""
@@ -41,8 +57,7 @@ def _finish_corr(comoment, sum_x, sum_y, sq_x, sq_y, n: int) -> np.ndarray:
     denominator = np.sqrt(np.outer(var_x, var_y))
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = cov / denominator
-    corr = np.nan_to_num(corr, nan=0.0, posinf=0.0, neginf=0.0)
-    return np.clip(corr, -1.0, 1.0)
+    return scrub_corr(corr)
 
 
 def prefix_pearson_corr(models, traces, budgets) -> np.ndarray:
@@ -109,8 +124,7 @@ def pearson_corr(models: np.ndarray, traces: np.ndarray) -> np.ndarray:
     denominator = np.outer(m_norm, t_norm)
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = (mc.T @ tc) / denominator
-    corr = np.nan_to_num(corr, nan=0.0, posinf=0.0, neginf=0.0)
-    corr = np.clip(corr, -1.0, 1.0)
+    scrub_corr(corr)
     return corr[0] if single else corr
 
 
@@ -122,8 +136,10 @@ def significance_threshold(n_traces: int, confidence: float = 0.995) -> float:
     """
     if n_traces <= 3:
         return 1.0
+    from scipy.special import ndtri
+
     alpha = 1.0 - confidence
-    z_crit = norm.ppf(1.0 - alpha / 2.0)
+    z_crit = ndtri(1.0 - alpha / 2.0)
     return float(np.tanh(z_crit / np.sqrt(n_traces - 3)))
 
 
@@ -140,8 +156,10 @@ def fisher_confidence(r: float, n_traces: int) -> float:
     """Confidence (two-sided) that the true correlation is nonzero."""
     if n_traces <= 3:
         return 0.0
+    from scipy.special import ndtr
+
     z = np.arctanh(np.clip(abs(r), 0.0, 0.999999)) * np.sqrt(n_traces - 3)
-    return float(1.0 - 2.0 * norm.sf(z))
+    return float(1.0 - 2.0 * ndtr(-z))
 
 
 def fisher_difference_confidence(r1: float, r2: float, n_traces: int) -> float:
@@ -153,7 +171,9 @@ def fisher_difference_confidence(r1: float, r2: float, n_traces: int) -> float:
     """
     if n_traces <= 3:
         return 0.0
+    from scipy.special import ndtr
+
     z1 = np.arctanh(np.clip(r1, -0.999999, 0.999999))
     z2 = np.arctanh(np.clip(r2, -0.999999, 0.999999))
     z = (z1 - z2) * np.sqrt((n_traces - 3) / 2.0)
-    return float(norm.cdf(z))
+    return float(ndtr(z))

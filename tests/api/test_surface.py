@@ -89,3 +89,40 @@ def test_import_is_light():
     )
     proc = subprocess.run([sys.executable, "-c", code])
     assert proc.returncode == 0
+
+
+def _scipy_modules_after(code: str) -> set[str]:
+    """The scipy submodules a fresh interpreter holds after ``code``."""
+    import json
+    import subprocess
+    import sys
+
+    probe = (
+        code
+        + "\nimport json, sys\n"
+        + "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+
+def test_scenario_load_imports_no_scipy():
+    """Loading the registry and resolving a request pays no scipy import."""
+    loaded = _scipy_modules_after(
+        "from repro.api import RunRequest, Session\n"
+        "from repro.campaigns import registry\n"
+        "registry.load_builtin_scenarios()\n"
+        "RunRequest(n_traces=32, precision='float32').resolve(Session().scenario('figure3'))"
+    )
+    assert not loaded & {"scipy.stats", "scipy.signal", "scipy.special"}
+
+
+def test_figure3_run_imports_neither_scipy_stats_nor_signal():
+    """A float32 figure3 capture needs at most ``scipy.special``."""
+    loaded = _scipy_modules_after(
+        "from repro.api import Session\n"
+        "Session().run('figure3', n_traces=64, precision='float32')"
+    )
+    assert not loaded & {"scipy.stats", "scipy.signal"}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from repro.power.scope import Oscilloscope, ScopeConfig, gaussian_table
+from repro.power.scope import Oscilloscope, ScopeConfig, _fir, gaussian_table
 
 
 def flat_power(n_traces=200, n_samples=64, level=10.0):
@@ -236,3 +236,36 @@ class TestFloat32Chain:
         power = np.zeros((10, 16))
         out = Oscilloscope(config).capture(power, extra_noise=np.ones_like(power))
         assert np.allclose(out, 1.0)
+
+
+class TestScipyFreeExactness:
+    """The stdlib/numpy replacements reproduce scipy's bytes exactly."""
+
+    def test_gaussian_table_matches_norm_ppf_table(self):
+        from scipy.stats import norm
+
+        quantiles = (np.arange(2**16, dtype=np.float64) + 0.5) / 2**16
+        reference = norm.ppf(quantiles)
+        reference /= np.sqrt(np.mean(reference**2))
+        reference = reference.astype(np.float32)
+        assert gaussian_table().tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("taps", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n_samples", [1, 3, 5, 97])
+    def test_fir_matches_lfilter(self, dtype, taps, n_samples):
+        rng = np.random.default_rng(taps * 1000 + n_samples)
+        kernel = rng.uniform(-1.0, 1.0, size=taps)
+        x = rng.normal(5.0, 3.0, size=(7, n_samples)).astype(dtype)
+        expected = lfilter(kernel, [1.0], x, axis=1)
+        got = _fir(kernel, x)
+        assert got.dtype == expected.dtype == np.float64
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_fir_zero_rows(self):
+        # lfilter refuses a zero-row input (apply_along_axis has nothing
+        # to iterate); the FIR returns the empty result of the same shape.
+        got = _fir(np.array([1.0, 0.5, 0.25]), np.empty((0, 10)))
+        assert got.shape == (0, 10)
+        assert got.dtype == np.float64

@@ -10,6 +10,7 @@ from repro.sca.stats import (
     fisher_confidence,
     fisher_difference_confidence,
     pearson_corr,
+    scrub_corr,
     significance_threshold,
 )
 
@@ -185,3 +186,88 @@ class TestPrefixPearson:
                 pearson_corr(models[:budget], traces[:budget]),
                 atol=1e-10,
             )
+
+
+class TestScipySpecialExactness:
+    """The ``scipy.special`` ufuncs reproduce the ``scipy.stats.norm``
+    verdicts bit for bit (``norm`` is the reference, imported here)."""
+
+    Z_GRID = np.concatenate(
+        [np.linspace(-40.0, 40.0, 80_001), [-0.0, 0.0, 1e-300, -1e-300, 8.3, -8.3]]
+    )
+    N_GRID = (4, 5, 10, 33, 100, 1000, 3000, 100_000)
+    R_GRID = np.concatenate([np.linspace(-1.0, 1.0, 401), [0.999999, -0.999999, 1e-9]])
+
+    def test_ufuncs_equal_norm(self):
+        from scipy.special import ndtr, ndtri
+        from scipy.stats import norm
+
+        z = self.Z_GRID
+        assert ndtr(z).tobytes() == norm.cdf(z).tobytes()
+        assert ndtr(-z).tobytes() == norm.sf(z).tobytes()
+        p = np.concatenate([ndtr(z), np.linspace(0.0, 1.0, 10_001)])
+        assert ndtri(p).tobytes() == norm.ppf(p).tobytes()
+
+    def test_significance_threshold_equals_norm_expression(self):
+        from scipy.stats import norm
+
+        for n in self.N_GRID:
+            for confidence in (0.5, 0.9, 0.95, 0.99, 0.995, 0.999, 1.0 - 1e-12, 1.0):
+                alpha = 1.0 - confidence
+                z_crit = norm.ppf(1.0 - alpha / 2.0)
+                expected = float(np.tanh(z_crit / np.sqrt(n - 3)))
+                assert significance_threshold(n, confidence) == expected
+
+    def test_fisher_confidence_equals_norm_expression(self):
+        from scipy.stats import norm
+
+        for n in self.N_GRID:
+            for r in self.R_GRID:
+                z = np.arctanh(np.clip(abs(r), 0.0, 0.999999)) * np.sqrt(n - 3)
+                expected = float(1.0 - 2.0 * norm.sf(z))
+                assert fisher_confidence(float(r), n) == expected
+
+    def test_fisher_difference_confidence_equals_norm_expression(self):
+        from scipy.stats import norm
+
+        for n in self.N_GRID:
+            for r1 in self.R_GRID[::8]:
+                for r2 in self.R_GRID[::32]:
+                    z1 = np.arctanh(np.clip(r1, -0.999999, 0.999999))
+                    z2 = np.arctanh(np.clip(r2, -0.999999, 0.999999))
+                    z = (z1 - z2) * np.sqrt((n - 3) / 2.0)
+                    expected = float(norm.cdf(z))
+                    assert fisher_difference_confidence(float(r1), float(r2), n) == expected
+
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3])
+    def test_small_trace_counts(self, n):
+        assert significance_threshold(n) == 1.0
+        assert fisher_confidence(0.9, n) == 0.0
+        assert fisher_difference_confidence(0.9, 0.1, n) == 0.0
+
+
+class TestScrubCorr:
+    def test_equals_nan_to_num_then_clip(self):
+        rng = np.random.default_rng(5)
+        corr = rng.uniform(-1.5, 1.5, size=(16, 64))
+        specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, 1.0 + 1e-15, -1.0 - 1e-15]
+        corr.flat[: len(specials)] = specials
+        corr.flat[-len(specials):] = specials
+        expected = np.clip(np.nan_to_num(corr, nan=0.0, posinf=0.0, neginf=0.0), -1.0, 1.0)
+        scrubbed = corr.copy()
+        assert scrub_corr(scrubbed) is scrubbed
+        assert scrubbed.tobytes() == expected.tobytes()
+
+    def test_pearson_with_constant_columns_matches_reference(self):
+        rng = np.random.default_rng(8)
+        models = rng.integers(0, 9, size=(32, 256)).astype(np.float64)
+        models[:, 3] = 4.0
+        traces = rng.normal(size=(32, 300))
+        traces[:, :10] = 7.0
+        mc = models - models.mean(axis=0, keepdims=True)
+        tc = traces - traces.mean(axis=0, keepdims=True)
+        denominator = np.outer(np.sqrt((mc**2).sum(axis=0)), np.sqrt((tc**2).sum(axis=0)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            raw = (mc.T @ tc) / denominator
+        expected = np.clip(np.nan_to_num(raw, nan=0.0, posinf=0.0, neginf=0.0), -1.0, 1.0)
+        assert pearson_corr(models, traces).tobytes() == expected.tobytes()
