@@ -76,7 +76,8 @@ class OnlineMeanVar:
             return
         k = chunk.shape[0]
         chunk_mean = chunk.mean(axis=0)
-        chunk_m2 = ((chunk - chunk_mean) ** 2).sum(axis=0)
+        centered = chunk - chunk_mean
+        chunk_m2 = np.square(centered, out=centered).sum(axis=0)
         self._combine(k, chunk_mean, chunk_m2)
 
     def merge(self, other: "OnlineMeanVar") -> None:
@@ -168,8 +169,10 @@ class OnlineCorrAccumulator:
         xc = x - mean_x
         yc = y - mean_y
         m2_x = (xc**2).sum(axis=0)
-        m2_y = (yc**2).sum(axis=0)
         comoment = xc.T @ yc
+        # ``yc`` is a fresh full-size block: square it in place once the
+        # co-moment no longer needs it.
+        m2_y = np.square(yc, out=yc).sum(axis=0)
         if self.n == 0:
             self.n = k
             self._mean_x, self._mean_y = mean_x, mean_y

@@ -268,6 +268,18 @@ class StreamingCampaign:
         """The (path, schedule, leakage) triple, via :func:`compile_cached`."""
         return compile_cached(self._campaign, inputs)
 
+    def warm(self, inputs: BatchInputs) -> CompiledAcquisition:
+        """Compile now, packed evaluation plan included.
+
+        The first :meth:`acquire` would otherwise build the plan lazily
+        inside its evaluate; a parent that warms before it forks hands
+        both to every worker through the shared compile cache.
+        """
+        compiled = self.compiled(inputs)
+        if self._campaign.use_tape and compiled.tape is not None:
+            compiled.leakage._packed_plan(compiled.tape.layout, self._campaign.profile)
+        return compiled
+
     # -- acquisition ----------------------------------------------------
 
     def acquire(

@@ -80,7 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_int_at_least("--jobs", 1),
         default=None,
-        help="worker processes for the chunk fan-out within each cell",
+        help=(
+            "worker processes (default: auto, one per CPU: with two or more "
+            "cells pending and no chunk, retry, timeout or worker-reduce knob "
+            "set, whole cells fan out across a forked pool of at most one "
+            "worker per compile group; otherwise cells run one by one and "
+            "--jobs fans out chunks within each cell)"
+        ),
     )
     runner.add_argument(
         "--backend",
@@ -160,7 +166,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             n_traces=args.traces,
             seed=args.seed,
             chunk_size=args.chunk_size,
-            jobs=args.jobs or 1,
+            jobs=args.jobs,
             backend=args.backend,
             precision=args.precision,
             retries=args.retries,

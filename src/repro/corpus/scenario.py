@@ -9,6 +9,12 @@ one raises :class:`~repro.api.capabilities.ManifestRequiredError`, so
 PIPELINE_CONFIG and SCOPE are deliberately *not* declared: a manifest
 owns its config and scope grids, and a session-level ``config=`` or
 ``scope=`` override would silently fight the grid.
+
+``jobs`` passes through as the request carries it.  A resolved request
+has ``jobs=1`` when none was asked for (the API's default for every
+scenario), so a Session or service corpus run goes cell by cell unless
+it asks for ``jobs`` above 1; only ``repro corpus run`` leaves it unset,
+which means auto (see :func:`repro.corpus.runner.choose_grain`).
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ def run_corpus(request: RunRequest) -> CorpusResult:
         n_traces=request.n_traces,
         seed=request.seed,
         chunk_size=request.chunk_size,
-        jobs=request.jobs or 1,
+        jobs=request.jobs,
         backend=request.backend,
         precision=request.precision,
         retries=request.retries,

@@ -173,6 +173,9 @@ class Oscilloscope:
             return self._capture_float32(power, extra_noise, trace_offset, full_scale)
         return self._capture_exact(power, extra_noise, full_scale)
 
+    #: traces per noise block of the float64-exact chain
+    _EXACT_NOISE_BLOCK = 128
+
     def _capture_exact(
         self,
         power: np.ndarray,
@@ -200,11 +203,14 @@ class Oscilloscope:
             traces = _apply_jitter(traces, shifts)
             owned = True
         # Averaging n executions divides the amplifier noise by sqrt(n).
-        noise = self.rng.normal(0.0, config.effective_sigma, size=traces.shape)
-        if owned:
-            traces += noise
-        else:
-            traces = traces + noise
+        # Drawn and added a row block at a time: consecutive draws are
+        # the whole-matrix draw in C order, bit for bit, without a
+        # second full-size matrix.
+        if not owned:
+            traces = traces.copy()
+        for lo in range(0, traces.shape[0], self._EXACT_NOISE_BLOCK):
+            rows = traces[lo : lo + self._EXACT_NOISE_BLOCK]
+            rows += self.rng.normal(0.0, config.effective_sigma, size=rows.shape)
         if config.quantize_bits is not None:
             return self._quantize(traces, full_scale)
         self.last_full_scale = None

@@ -11,14 +11,16 @@ over the trace matrix yields the correlation at *every* requested trace
 budget from cumulative cross-moments, replacing recompute-from-scratch
 loops in success-curve-style evaluations.
 
-The normal-distribution functions come from ``scipy.special``
-(``ndtri``/``ndtr``, the ufuncs scipy's ``norm`` wraps, so every verdict
-is bit-equal to the ``norm`` calls), imported inside the functions
-that need them: loading a scenario never pays for them, only computing
-a verdict does.
+The normal-distribution functions :func:`ndtr` and :func:`ndtri` are
+scalar ports of the Cephes routines ``scipy.special`` (and so scipy's
+``norm``) evaluates: the same rational approximations, evaluated in the
+same order with stdlib ``math``, so every verdict is bit-equal to the
+``norm`` calls and no process imports scipy to compute one.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -128,6 +130,164 @@ def pearson_corr(models: np.ndarray, traces: np.ndarray) -> np.ndarray:
     return corr[0] if single else corr
 
 
+# -- the standard normal CDF and its inverse (Cephes ndtr.c / ndtri.c) ----
+#
+# Coefficients and evaluation order follow Cephes exactly; changing
+# either moves the last bit of ``cpa_margin`` (``math.erfc`` and
+# ``statistics.NormalDist.cdf`` do, on about one point in three).
+
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+#: ``exp(x)`` underflows below ``-MAXLOG``
+_MAXLOG = 7.09782712893383996843e2
+
+_NDTRI_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_NDTRI_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_NDTRI_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_NDTRI_Q2 = (
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+#: ``sqrt(1/2)``, ``sqrt(2 pi)`` and ``exp(-2)``
+_SQRT1_2 = 7.07106781186547524401e-1
+_S2PI = 2.50662827463100050242e0
+_EXPM2 = 0.13533528323661269189
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """Horner evaluation, highest coefficient first (Cephes ``polevl``)."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple) -> float:
+    """``polevl`` with an implied leading coefficient of 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    if x < 0.0:
+        return -_erf(-x)
+    if abs(x) > 1.0:
+        return 1.0 - _erfc(x)
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+
+
+def _erfc(a: float) -> float:
+    x = -a if a < 0.0 else a
+    if x < 1.0:
+        return 1.0 - _erf(a)
+    z = -a * a
+    if z < -_MAXLOG:
+        return 2.0 if a < 0 else 0.0
+    z = math.exp(z)
+    if x < 8.0:
+        y = (z * _polevl(x, _ERFC_P)) / _p1evl(x, _ERFC_Q)
+    else:
+        y = (z * _polevl(x, _ERFC_R)) / _p1evl(x, _ERFC_S)
+    if a < 0:
+        y = 2.0 - y
+    if y != 0.0:
+        return y
+    return 2.0 if a < 0 else 0.0
+
+
+def ndtr(a: float) -> float:
+    """Standard normal CDF, bit-equal to ``scipy.special.ndtr``."""
+    a = float(a)
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
+
+def ndtri(y0: float) -> float:
+    """Inverse standard normal CDF, bit-equal to ``scipy.special.ndtri``."""
+    y0 = float(y0)
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    if y0 < 0.0 or y0 > 1.0:
+        return math.nan
+    lower = True
+    y = y0
+    if y > 1.0 - _EXPM2:
+        y = 1.0 - y
+        lower = False
+    if y > _EXPM2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
+    else:
+        x1 = z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2)
+    x = x0 - x1
+    return -x if lower else x
+
+
 def significance_threshold(n_traces: int, confidence: float = 0.995) -> float:
     """|r| above which a correlation is nonzero at the given confidence.
 
@@ -136,8 +296,6 @@ def significance_threshold(n_traces: int, confidence: float = 0.995) -> float:
     """
     if n_traces <= 3:
         return 1.0
-    from scipy.special import ndtri
-
     alpha = 1.0 - confidence
     z_crit = ndtri(1.0 - alpha / 2.0)
     return float(np.tanh(z_crit / np.sqrt(n_traces - 3)))
@@ -156,8 +314,6 @@ def fisher_confidence(r: float, n_traces: int) -> float:
     """Confidence (two-sided) that the true correlation is nonzero."""
     if n_traces <= 3:
         return 0.0
-    from scipy.special import ndtr
-
     z = np.arctanh(np.clip(abs(r), 0.0, 0.999999)) * np.sqrt(n_traces - 3)
     return float(1.0 - 2.0 * ndtr(-z))
 
@@ -171,8 +327,6 @@ def fisher_difference_confidence(r1: float, r2: float, n_traces: int) -> float:
     """
     if n_traces <= 3:
         return 0.0
-    from scipy.special import ndtr
-
     z1 = np.arctanh(np.clip(r1, -0.999999, 0.999999))
     z2 = np.arctanh(np.clip(r2, -0.999999, 0.999999))
     z = (z1 - z2) * np.sqrt((n_traces - 3) / 2.0)

@@ -137,7 +137,8 @@ class LeakageMetricsFold:
         return self._splitter._base
 
     def update(self, traces: np.ndarray, models: np.ndarray, labels: np.ndarray) -> None:
-        traces = np.asarray(traces)
+        # Converted once here rather than once per accumulator.
+        traces = np.asarray(traces, dtype=np.float64)
         models = np.asarray(models, dtype=np.float64)
         labels = np.asarray(labels)
         if models.shape != (traces.shape[0], self.guesses.size):

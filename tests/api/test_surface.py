@@ -126,3 +126,15 @@ def test_figure3_run_imports_neither_scipy_stats_nor_signal():
         "Session().run('figure3', n_traces=64, precision='float32')"
     )
     assert not loaded & {"scipy.stats", "scipy.signal"}
+
+
+def test_verdicts_and_corpus_cells_import_no_scipy():
+    """The verdict statistics are stdlib ports: no run imports scipy."""
+    loaded = _scipy_modules_after(
+        "from repro.api import Session\n"
+        "from repro.corpus.manifest import Manifest\n"
+        "from repro.corpus.runner import CorpusCampaign\n"
+        "Session().run('figure3', n_traces=64, precision='float32')\n"
+        "CorpusCampaign(Manifest(name='m', workloads=('memcpy',), budgets=(32,)), store=None).run()"
+    )
+    assert loaded == set()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.api import Session
-from repro.backends import PoolBackend
+from repro.backends import PoolBackend, fork_available
 from repro.campaigns import engine as engine_module
 from repro.campaigns.engine import (
     StreamingCampaign,
@@ -102,6 +102,20 @@ def cold_cache():
     clear_schedule_cache()
     yield
     clear_schedule_cache()
+
+
+def acquire_in_worker(_):
+    """(compiles, packed plans before, after) of one acquisition here."""
+    misses = schedule_cache_stats()["misses"]
+    engine = StreamingCampaign(assemble(SECRET_SRC), scope=SCOPE, seed=3)
+    compiled = engine.compiled(secret_inputs(n=40))
+    plans = len(compiled.leakage._packed_plans)
+    engine.acquire(secret_inputs(n=40))
+    return (
+        schedule_cache_stats()["misses"] - misses,
+        plans,
+        len(compiled.leakage._packed_plans),
+    )
 
 
 class TestProgramDigest:
@@ -209,6 +223,20 @@ class TestPoolWorkers:
         np.testing.assert_array_equal(
             streams[1], np.concatenate([chunk.traces for chunk in chunks])
         )
+
+
+    @pytest.mark.skipif(not fork_available(), reason="fork unavailable")
+    def test_a_warmed_parent_hands_compile_and_plan_to_forked_workers(self):
+        engine = StreamingCampaign(assemble(SECRET_SRC), scope=SCOPE, seed=3)
+        engine.warm(secret_inputs(n=40))
+        backend = PoolBackend(jobs=1).start()  # forked after the warm
+        try:
+            [(compiles, plans_before, plans_after)] = backend.map_items(
+                acquire_in_worker, [None]
+            )
+        finally:
+            backend.close()
+        assert (compiles, plans_before, plans_after) == (0, 1, 1)
 
 
 class TestBound:

@@ -39,6 +39,21 @@ def store_dir(tmp_path):
 
 
 class TestCorpusRun:
+    @pytest.mark.parametrize("argv, jobs", [([], None), (["--jobs", "1"], 1), (["--jobs", "3"], 3)])
+    def test_jobs_default_to_auto(self, manifest_path, store_dir, monkeypatch, argv, jobs):
+        from repro.corpus import runner
+
+        seen = []
+        real_init = runner.CorpusCampaign.__init__
+
+        def spy(self, manifest, **knobs):
+            seen.append(knobs["jobs"])
+            real_init(self, manifest, **knobs)
+
+        monkeypatch.setattr(runner.CorpusCampaign, "__init__", spy)
+        assert corpus_main(["run", manifest_path, "--store", store_dir, *argv]) == 0
+        assert seen == [jobs]
+
     def test_ok_run_exits_zero(self, manifest_path, store_dir, capsys):
         code = corpus_main(["run", manifest_path, "--store", store_dir])
         assert code == 0

@@ -1,13 +1,19 @@
 """The batch runner: isolation, store round-trips, resume, equivalence."""
 
 import dataclasses
+import json
 
 import pytest
 
+from repro.backends import fork_available
+from repro.campaigns import engine as engine_module
+from repro.campaigns.engine import clear_schedule_cache, schedule_cache_stats
+from repro.corpus import runner
 from repro.corpus.manifest import GridEntry, Manifest
 from repro.corpus.runner import (
     CorpusCampaign,
     WorkloadCapabilityError,
+    choose_grain,
 )
 from repro.corpus.workloads import ENGINE_CAPABILITIES, workload
 
@@ -232,3 +238,234 @@ class TestValidation:
     def test_bad_reduce_mode_is_rejected(self):
         with pytest.raises(ValueError, match="reduce"):
             CorpusCampaign(TINY, store=None, reduce="sideways")
+
+
+# -- the cell grain ---------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not fork_available(), reason="fork unavailable")
+
+#: 3 workloads x 2 budgets: 6 cells in 3 compile groups
+GRID = Manifest(
+    name="grid", workloads=("memcpy", "ct-compare", "present-round"), budgets=(40, 64)
+)
+
+
+def _broken_model(inputs, lo, hi):
+    raise RuntimeError("model exploded")
+
+
+def _compiles_and_outcomes(group):
+    """Pool worker: (compiles this group caused here, its outcomes)."""
+    misses = schedule_cache_stats()["misses"]
+    outcomes = runner._measure_group(group)
+    return schedule_cache_stats()["misses"] - misses, outcomes
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every pool the runner builds for the cell grain, in order."""
+    built = []
+
+    class SpyPool(runner.PoolBackend):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(runner, "PoolBackend", SpyPool)
+    return built
+
+
+def _records(store_dir) -> dict:
+    records = {}
+    for path in sorted(store_dir.glob("*.json")):
+        record = json.loads(path.read_text())
+        record.pop("seconds")
+        records[path.name] = record
+    return records
+
+
+def _summary(result) -> dict:
+    return {
+        "metrics": [c.metrics.to_json() if c.ok else c.error for c in result.cells],
+        "keys": [c.key for c in result.cells],
+        "report": dataclasses.replace(result, store_dir=None).render(),
+    }
+
+
+@needs_fork
+class TestCellGrain:
+    def test_cell_grain_equals_serial(self, tmp_path, pools):
+        serial = CorpusCampaign(GRID, store=str(tmp_path / "serial"), jobs=1).run()
+        assert not pools
+        fanned = CorpusCampaign(GRID, store=str(tmp_path / "fanned"), jobs=2).run()
+        assert len(pools) == 1 and pools[0].tasks_dispatched == 3
+        assert fanned.failed == 0 and len(fanned.cells) == 6
+        assert _summary(fanned) == _summary(serial)
+        assert _records(tmp_path / "fanned") == _records(tmp_path / "serial")
+        assert len(_records(tmp_path / "serial")) == 6
+
+    def test_a_failing_cell_stays_isolated_and_unstored(self, tmp_path, pools):
+        from repro.corpus.workloads import _REGISTRY, register_workload
+
+        broken = dataclasses.replace(
+            workload("memcpy"), name="memcpy-broken", model_matrix=_broken_model
+        )
+        register_workload(broken)
+        try:
+            manifest = Manifest(
+                name="m", workloads=("memcpy", "memcpy-broken", "ct-compare"), budgets=(32,)
+            )
+            store_dir = tmp_path / "store"
+            result = CorpusCampaign(manifest, store=str(store_dir), jobs=2).run()
+        finally:
+            _REGISTRY.pop("memcpy-broken", None)
+        assert len(pools) == 1
+        assert [c.ok for c in result.cells] == [True, False, True]
+        assert "model exploded" in result.cells[1].error
+        stored = {record["cell"]["name"] for record in _records(store_dir).values()}
+        assert stored == {result.cells[0].cell.name, result.cells[2].cell.name}
+
+    def test_more_groups_than_the_cache_holds_compile_once(self, tmp_path, pools, monkeypatch):
+        serial = CorpusCampaign(GRID, store=None, jobs=1).run()
+        # GRID's 3 compile groups outnumber a 2-entry cache: a parent
+        # that compiled all 3 before one fork would hand a worker an
+        # evicted group to compile again.
+        monkeypatch.setattr(engine_module, "SCHEDULE_CACHE_CAPACITY", 2)
+        clear_schedule_cache()
+        worker_compiles = []
+        real_map = runner.PoolBackend.map_items
+
+        def counting_map(self, fn, items):
+            assert fn is runner._measure_group
+            pairs = real_map(self, _compiles_and_outcomes, items)
+            worker_compiles.extend(compiles for compiles, _outcomes in pairs)
+            return [outcomes for _compiles, outcomes in pairs]
+
+        monkeypatch.setattr(runner.PoolBackend, "map_items", counting_map)
+        misses = schedule_cache_stats()["misses"]
+        fanned = CorpusCampaign(GRID, store=None, jobs=2).run()
+        assert schedule_cache_stats()["misses"] - misses == 3  # once per group, in the parent
+        assert worker_compiles == [0, 0]  # a 2-group wave forked; the third ran in the parent
+        assert len(pools) == 1
+        assert _summary(fanned) == _summary(serial)
+
+    def test_a_warm_store_never_builds_a_pool(self, tmp_path, pools):
+        CorpusCampaign(GRID, store=str(tmp_path / "store"), jobs=2).run()
+        assert len(pools) == 1
+        warm = CorpusCampaign(GRID, store=str(tmp_path / "store"), jobs=2).run()
+        assert len(pools) == 1
+        assert warm.store_hits == 6
+
+    @pytest.mark.parametrize("first_jobs, then_jobs", [(2, 1), (1, 2)])
+    def test_checkpoint_resumes_across_grains(self, tmp_path, monkeypatch, first_jobs, then_jobs):
+        manifest = dataclasses.replace(GRID, budgets=(24, 40, 64))  # 9 cells
+        reference = CorpusCampaign(manifest, store=None, jobs=1).run()
+        checkpoint = str(tmp_path / "ckpt")
+        first = CorpusCampaign(manifest, store=None, jobs=first_jobs)
+        if first_jobs > 1:
+            real_map = runner.PoolBackend.map_items
+            calls = []
+
+            def map_then_die(self, fn, items):
+                calls.append(1)
+                if len(calls) > 1:
+                    raise KeyboardInterrupt
+                return real_map(self, fn, items)
+
+            monkeypatch.setattr(runner.PoolBackend, "map_items", map_then_die)
+        else:
+            real_run = first._run_cell
+            seen = []
+
+            def run_then_die(cell, backend):
+                seen.append(cell)
+                if len(seen) > 2:
+                    raise KeyboardInterrupt
+                return real_run(cell, backend)
+
+            monkeypatch.setattr(first, "_run_cell", run_then_die)
+        with pytest.raises(KeyboardInterrupt):
+            first.run(checkpoint=checkpoint)
+        monkeypatch.undo()
+
+        resumed = CorpusCampaign(manifest, store=None, jobs=then_jobs).run(
+            checkpoint=checkpoint, resume=True
+        )
+        assert 0 < len(resumed.resumed) < len(reference.cells)
+        assert _summary(resumed)["metrics"] == _summary(reference)["metrics"]
+        assert resumed.failed == 0
+
+
+class TestChooseGrain:
+    BASE = dict(
+        jobs=None,
+        backend=None,
+        chunk_size=None,
+        retries=None,
+        chunk_timeout=None,
+        reduce=None,
+        n_pending=24,
+    )
+
+    @pytest.fixture(autouse=True)
+    def four_cpus_with_fork(self, monkeypatch):
+        monkeypatch.setattr(runner, "cpu_count", lambda: 4)
+        monkeypatch.setattr(runner, "fork_available", lambda: True)
+
+    def grain(self, **changes):
+        return choose_grain(**{**self.BASE, **changes})
+
+    def test_auto_jobs_fans_cells_over_every_cpu(self):
+        assert self.grain() == 4
+        assert self.grain(n_pending=2) == 4  # the pool is sized to the groups later
+        assert self.grain(jobs=3) == 3
+        assert self.grain(backend="auto") == 4
+        assert self.grain(backend="fork") == 4
+        assert self.grain(reduce="parent") == 4
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"jobs": 1},
+            {"n_pending": 1},
+            {"n_pending": 0},
+            {"backend": "serial"},
+            {"backend": "spawn"},
+            {"backend": "pool"},
+            {"chunk_size": 100},
+            {"retries": 0},
+            {"chunk_timeout": 5.0},
+            {"reduce": "worker"},
+        ],
+    )
+    def test_each_fallback_runs_cells_one_by_one(self, changes):
+        assert self.grain(**changes) == 0
+
+    def test_one_cpu_falls_back(self, monkeypatch):
+        monkeypatch.setattr(runner, "cpu_count", lambda: 1)
+        assert self.grain() == 0
+        assert self.grain(jobs=2) == 2
+
+    def test_a_live_backend_falls_back(self):
+        from repro.backends import SerialBackend
+
+        assert self.grain(backend=SerialBackend()) == 0
+
+    def test_no_fork_falls_back(self, monkeypatch):
+        monkeypatch.setattr(runner, "fork_available", lambda: False)
+        assert self.grain() == 0
+
+    def test_a_quarantined_fork_falls_back(self):
+        from repro.backends import clear_quarantine, quarantine_backend
+
+        quarantine_backend("fork", "test")
+        try:
+            assert self.grain() == 0
+        finally:
+            clear_quarantine()
+
+    def test_auto_jobs_never_fails_negotiation(self):
+        restricted = dataclasses.replace(workload("memcpy"), capabilities=frozenset())
+        CorpusCampaign(TINY, store=None)._negotiate(restricted)  # must not raise
+        with pytest.raises(WorkloadCapabilityError, match="jobs"):
+            CorpusCampaign(TINY, store=None, jobs=2)._negotiate(restricted)

@@ -152,6 +152,18 @@ class TestExactModeRegression:
         new = Oscilloscope(config, seed=3).capture(power)
         np.testing.assert_array_equal(new, _reference_exact_capture(config, 3, power))
 
+    @pytest.mark.parametrize("jitter", (0, 2))
+    @pytest.mark.parametrize("quantize_bits", (None, 8))
+    def test_noise_drawn_in_row_blocks_equals_one_draw(self, jitter, quantize_bits):
+        # More rows than one noise block, and not a multiple of it.
+        config = ScopeConfig(noise_sigma=3.0, jitter_samples=jitter, quantize_bits=quantize_bits)
+        n_traces = 2 * Oscilloscope._EXACT_NOISE_BLOCK + 45
+        power = np.random.default_rng(2).normal(size=(n_traces, 41))
+        kept = power.copy()
+        new = Oscilloscope(config, seed=5).capture(power)
+        np.testing.assert_array_equal(new, _reference_exact_capture(config, 5, power))
+        np.testing.assert_array_equal(power, kept)  # the caller's matrix is not written
+
 
 class TestFloat32Chain:
     def test_rejects_unknown_precision(self):

@@ -9,6 +9,8 @@ from repro.sca.stats import (
     correlation_significant,
     fisher_confidence,
     fisher_difference_confidence,
+    ndtr,
+    ndtri,
     pearson_corr,
     scrub_corr,
     significance_threshold,
@@ -189,8 +191,9 @@ class TestPrefixPearson:
 
 
 class TestScipySpecialExactness:
-    """The ``scipy.special`` ufuncs reproduce the ``scipy.stats.norm``
-    verdicts bit for bit (``norm`` is the reference, imported here)."""
+    """The Cephes ports reproduce ``scipy.special`` and so the
+    ``scipy.stats.norm`` verdicts bit for bit (scipy is the reference,
+    imported here only)."""
 
     Z_GRID = np.concatenate(
         [np.linspace(-40.0, 40.0, 80_001), [-0.0, 0.0, 1e-300, -1e-300, 8.3, -8.3]]
@@ -207,6 +210,35 @@ class TestScipySpecialExactness:
         assert ndtr(-z).tobytes() == norm.sf(z).tobytes()
         p = np.concatenate([ndtr(z), np.linspace(0.0, 1.0, 10_001)])
         assert ndtri(p).tobytes() == norm.ppf(p).tobytes()
+
+    @staticmethod
+    def _bits(values) -> bytes:
+        return np.asarray(values, dtype=np.float64).tobytes()
+
+    def test_ndtr_port_equals_scipy(self):
+        from scipy.special import ndtr as reference
+
+        rng = np.random.default_rng(17)
+        z = np.concatenate(
+            [self.Z_GRID, rng.normal(0.0, 5.0, 20_000), [np.nan, np.inf, -np.inf, 38.5, -38.5]]
+        )
+        assert self._bits([ndtr(v) for v in z]) == self._bits(reference(z))
+        assert self._bits([ndtr(-v) for v in z]) == self._bits(reference(-z))
+
+    def test_ndtri_port_equals_scipy(self):
+        from scipy.special import ndtr as cdf
+        from scipy.special import ndtri as reference
+
+        rng = np.random.default_rng(18)
+        p = np.concatenate(
+            [
+                cdf(self.Z_GRID),
+                np.linspace(0.0, 1.0, 10_001),
+                10.0 ** -rng.uniform(0.0, 300.0, 5_000),
+                [np.nan, -0.5, 1.5, 5e-324, np.nextafter(1.0, 0.0)],
+            ]
+        )
+        assert self._bits([ndtri(v) for v in p]) == self._bits(reference(p))
 
     def test_significance_threshold_equals_norm_expression(self):
         from scipy.stats import norm
